@@ -4,7 +4,7 @@ Kept as a plain ``setup.py`` so ``pip install -e .`` works on
 environments whose setuptools is too old to build PEP 660 editable
 wheels without the ``wheel`` package installed.  Installing registers
 the ``repro`` console script — the same program as ``python -m repro``
-(run / cache / distrib / serve / selftest subcommands).
+(run / cache / distrib / serve / campaign / obs / check subcommands).
 """
 
 import re

@@ -68,8 +68,7 @@ __version__ = "1.0.0"
 #: Experiment-execution names re-exported lazily (PEP 562): the session
 #: facade is the documented front door (``from repro import Session``),
 #: but eager imports here would pull the whole analysis stack into every
-#: ``import repro`` — and would double-import the analysis modules under
-#: their ``python -m repro.analysis.X`` entry points.
+#: ``import repro``.
 _LAZY_EXPORTS = {
     "Session": "repro.analysis.session",
     "RunConfig": "repro.analysis.session",

@@ -65,9 +65,9 @@ from repro.analysis.report import Table, format_series, format_table
 from repro.analysis.sweep import Series, SweepResult, sweep
 
 #: Runner, cache and distrib names re-exported lazily (PEP 562) so
-#: ``python -m repro.analysis.runner`` / ``.cache`` / ``.distrib`` do not
-#: import their module twice (once via this package, once as ``__main__``),
-#: which would trip runpy's double-import warning.
+#: ``import repro.analysis`` stays light: the execution stack (and the
+#: ``python -m repro`` subcommands that need only part of it) import the
+#: modules they use, not all of them.
 _LAZY_EXPORTS = {
     "Executor": "repro.analysis.runner",
     "ExperimentPlan": "repro.analysis.runner",

@@ -51,13 +51,10 @@ filesystem store, an ``http(s)://host:port/bucket`` URL the object store
 
 Inspect or reset the store from the command line::
 
-    python -m repro.analysis.cache --stats           # human-readable
-    python -m repro.analysis.cache --stats --json    # machine-readable
-    python -m repro.analysis.cache --clear           # everything
-    python -m repro.analysis.cache --clear --stale   # old code versions only
-    python -m repro.analysis.cache --selftest        # store + lease smoke test
-    python -m repro.analysis.cache --selftest --backend obj   # same, over the
-                                                     # fake object-store server
+    python -m repro cache --stats           # human-readable
+    python -m repro cache --stats --json    # machine-readable
+    python -m repro cache --clear           # everything
+    python -m repro cache --clear --stale   # old code versions only
 
 Selection of the cache at run time is a one-argument affair: pass
 ``Executor(persistent=ResultCache(mode="rw"))``, or for the benchmark
@@ -1062,117 +1059,12 @@ class ResultCache:
 
 
 # ---------------------------------------------------------------------------
-# CLI (python -m repro.analysis.cache)
+# CLI (python -m repro cache)
 
 
-def _selftest(backend: str = "fs") -> int:
-    """Store round trip + lease protocol smoke test over a temporary root.
-
-    ``backend="obj"`` runs the identical checks against an in-process fake
-    object-store server instead of a temporary directory, plus the
-    store-interface contract checks both backends share.
-    """
-    import contextlib
-    import tempfile
-
-    failures = 0
-
-    def check(label: str, ok: bool) -> None:
-        nonlocal failures
-        print(f"  [{'ok' if ok else 'FAIL'}] {label}")
-        if not ok:
-            failures += 1
-
-    print(f"cache selftest (backend: {backend})")
-    with contextlib.ExitStack() as stack:
-        if backend == "obj":
-            from repro.analysis.objstore import FakeObjectServer
-
-            server = stack.enter_context(FakeObjectServer())
-            tmp = f"{server.url}/cache-selftest"
-        else:
-            tmp = stack.enter_context(tempfile.TemporaryDirectory())
-
-        # -- the CacheStore interface contract ----------------------------
-        raw = open_store(tmp)
-        etag = raw.put_atomic("contract/a", b"alpha")
-        check("put_atomic + get round trip with a content ETag",
-              raw.get("contract/a") == StoredObject(b"alpha", etag)
-              and etag == object_etag(b"alpha"))
-        check("stat reports existence and size",
-              raw.stat("contract/a").size == 5
-              and raw.stat("contract/missing") is None)
-        created = raw.put_if_absent("contract/b", b"beta")
-        check("put_if_absent creates exactly once",
-              created is not None
-              and raw.put_if_absent("contract/b", b"other") is None
-              and raw.get("contract/b").data == b"beta")
-        check("put_if_match replaces only against the live ETag",
-              raw.put_if_match("contract/b", b"beta2", "stale") is None
-              and raw.put_if_match("contract/b", b"beta2",
-                                   created) is not None
-              and raw.get("contract/b").data == b"beta2")
-        check("put_if_match on a missing key fails",
-              raw.put_if_match("contract/missing", b"x", etag) is None)
-        listed = [info.key for info in raw.list("contract/")]
-        check("list is prefix-scoped and sorted",
-              listed == ["contract/a", "contract/b"]
-              and [i.key for i in raw.list("contract/a")]
-              == ["contract/a"])
-        check("delete removes exactly once",
-              raw.delete("contract/a") and not raw.delete("contract/a")
-              and raw.get("contract/a") is None)
-        raw.delete("contract/b")
-
-        # -- the ResultCache protocol over that store ----------------------
-        store = ResultCache(root=tmp, mode="rw", salt="selftest")
-        values = {"q": [0.1 + 0.2, 1e-300, -0.0, 3.14159]}
-        store.store_result("key", values, meta={"worker": "me"})
-        check("result round trip is bit-identical",
-              store.load_result("key", ["q"], 4) == values)
-        check("meta round trip", store.load_meta("key") == {"worker": "me"})
-        check("has_result sees the payload",
-              store.has_result("key") and not store.has_result("other"))
-
-        check("fresh lease claim succeeds",
-              store.claim_lease("shard", "worker-a", ttl=30.0))
-        check("live lease is exclusive",
-              not store.claim_lease("shard", "worker-b", ttl=30.0))
-        check("owner re-claims its own live lease",
-              store.claim_lease("shard", "worker-a", ttl=30.0))
-        check("heartbeat refreshes only the owner",
-              store.heartbeat_lease("shard", "worker-a")
-              and not store.heartbeat_lease("shard", "worker-b"))
-        check("release frees the key",
-              store.release_lease("shard", "worker-a")
-              and store.lease_info("shard") is None)
-        store.claim_lease("dead", "worker-a", ttl=0.05)
-        time.sleep(0.1)
-        check("expired lease is stolen by a survivor",
-              store.claim_lease("dead", "worker-b", ttl=30.0))
-        info = store.lease_info("dead")
-        check("stolen lease names the new owner",
-              info is not None and info["owner"] == "worker-b")
-
-        readonly = ResultCache(root=tmp, mode="ro", salt="selftest")
-        check("ro cache cannot claim a lease",
-              not readonly.claim_lease("ro-shard", "worker-c"))
-        stats = store.stats()
-        check("stats report the selftest salt",
-              "selftest" in stats["salts"]
-              and stats["salts"]["selftest"].get("results") == 1)
-    print("selftest:", "PASS" if failures == 0 else f"{failures} FAILURES")
-    return 0 if failures == 0 else 1
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Inspect (``--stats [--json]``), reset (``--clear [--stale]``) or
-    smoke-test (``--selftest``) the store."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.analysis.cache",
-        description="Inspect or clear the persistent experiment cache.")
+def register_cli(parser) -> None:
+    """``python -m repro cache``: inspect (``--stats [--json]``) or reset
+    (``--clear [--stale]``) the store."""
     parser.add_argument("--root", default=None,
                         help="cache directory or object-store bucket URL "
                              "(default: $REPRO_CACHE_DIR or ./.repro_cache)")
@@ -1184,18 +1076,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="delete cached entries")
     parser.add_argument("--stale", action="store_true",
                         help="with --clear: only entries of old code versions")
-    parser.add_argument("--selftest", action="store_true",
-                        help="run the store/lease round-trip checks")
-    parser.add_argument("--backend", choices=("fs", "obj"), default="fs",
-                        help="with --selftest: storage backend to exercise "
-                             "(obj spins an in-process fake object-store "
-                             "server; default: fs)")
-    args = parser.parse_args(argv)
-    if args.selftest:
-        return _selftest(args.backend)
-    if not (args.stats or args.clear):
-        parser.print_help()
-        return 2
+
+    def run(args) -> int:
+        if not (args.stats or args.clear):
+            parser.print_help()
+            return 2
+        return _cli(args)
+
+    parser.set_defaults(func=run)
+
+
+def _cli(args) -> int:
     cache = ResultCache(root=args.root, mode="ro")
     if args.clear:
         removed = cache.clear(stale_only=args.stale)
@@ -1218,15 +1109,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                   f"{entry.get('technology_bytes', 0)} B, "
                   f"{entry.get('leases', 0)} lease(s){tag}")
     return 0
-
-
-if __name__ == "__main__":
-    import sys
-
-    # Under ``python -m`` this file executes as ``__main__`` while the
-    # package import created a second copy as ``repro.analysis.cache``;
-    # dispatch to that canonical copy so the classes the selftest compares
-    # are the very ones other modules (objstore) return instances of.
-    from repro.analysis.cache import main as _canonical_main
-
-    sys.exit(_canonical_main())

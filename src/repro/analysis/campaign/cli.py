@@ -25,22 +25,16 @@ the recorded violations byte-for-byte.
 from __future__ import annotations
 
 import json
-import sys
-from typing import Optional, Sequence
 
-from repro.errors import ConfigurationError
-
-__all__ = ["main"]
+__all__ = ["register_cli"]
 
 
-def _build_parser():
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro campaign",
-        description="Enumerate, execute and fuzz scenario campaigns over "
-                    "the paper's model space.")
-    commands = parser.add_subparsers(dest="command")
+def register_cli(parser) -> None:
+    """``python -m repro campaign``: ``run`` / ``list`` / ``fuzz`` /
+    ``repro``."""
+    parser.description = ("Enumerate, execute and fuzz scenario campaigns "
+                          "over the paper's model space.")
+    commands = parser.add_subparsers(metavar="SUBCOMMAND")
 
     run_cmd = commands.add_parser(
         "run", help="compile and execute a campaign through a Session")
@@ -71,9 +65,11 @@ def _build_parser():
     run_cmd.add_argument("--plan-only", action="store_true",
                          help="compile and describe the campaign without "
                               "executing it")
+    run_cmd.set_defaults(func=_cmd_run)
 
     commands.add_parser(
-        "list", help="list registry point functions and fuzz invariants")
+        "list", help="list registry point functions and fuzz invariants"
+    ).set_defaults(func=_cmd_list)
 
     fuzz_cmd = commands.add_parser(
         "fuzz", help="draw seeded scenario points against the invariant "
@@ -89,6 +85,7 @@ def _build_parser():
     fuzz_cmd.add_argument("--invariant", action="append", default=None,
                           metavar="NAME",
                           help="restrict to one invariant (repeatable)")
+    fuzz_cmd.set_defaults(func=_cmd_fuzz)
 
     repro_cmd = commands.add_parser(
         "repro", help="replay one persisted fuzz case byte-for-byte")
@@ -98,7 +95,7 @@ def _build_parser():
     repro_cmd.add_argument("--corpus", default=None, metavar="DIR",
                            help="violation corpus directory "
                                 "(default: .repro_fuzz)")
-    return parser
+    repro_cmd.set_defaults(func=_cmd_repro)
 
 
 def _resolve_campaign(spec_arg: str, smoke: bool):
@@ -175,7 +172,7 @@ def _cmd_list(args) -> int:
     return 0
 
 
-def _cmd_fuzz(args, invariants=None) -> int:
+def _cmd_fuzz(args) -> int:
     from repro.analysis.campaign.fuzz import DEFAULT_CORPUS_DIR, fuzz
 
     corpus = args.corpus or DEFAULT_CORPUS_DIR
@@ -187,8 +184,7 @@ def _cmd_fuzz(args, invariants=None) -> int:
             print(f"    {message}")
 
     report = fuzz(seed=args.seed, budget=args.budget, corpus_dir=corpus,
-                  invariants=invariants, names=args.invariant,
-                  progress=progress)
+                  names=args.invariant, progress=progress)
     print(f"fuzz: seed {report.seed}, {report.budget} draw(s) — "
           f"{report.evaluated} evaluated, {report.rejected} rejected, "
           f"{report.violation_count} violation(s)")
@@ -200,13 +196,13 @@ def _cmd_fuzz(args, invariants=None) -> int:
     return 0
 
 
-def _cmd_repro(args, invariants=None) -> int:
+def _cmd_repro(args) -> int:
     from repro.analysis.campaign.fuzz import (DEFAULT_CORPUS_DIR, load_case,
                                               reproduce)
 
     corpus = args.corpus or DEFAULT_CORPUS_DIR
     case = load_case(args.case_id, corpus_dir=corpus)
-    identical, violations = reproduce(case, invariants=invariants)
+    identical, violations = reproduce(case)
     print(f"case {case.case_id} [{case.invariant}] seed={case.seed} "
           f"index={case.index}")
     for message in violations:
@@ -218,34 +214,3 @@ def _cmd_repro(args, invariants=None) -> int:
     for message in case.violations:
         print(f"  {message}")
     return 1
-
-
-def main(argv: Optional[Sequence[str]] = None,
-         invariants=None) -> int:
-    """Dispatch one campaign-CLI invocation; returns the exit code.
-
-    *invariants* (a name → :class:`Invariant` mapping) overrides the
-    default registry for ``fuzz`` and ``repro`` — the hook the test
-    suite uses to fuzz deliberately-broken models.
-    """
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "list":
-            return _cmd_list(args)
-        if args.command == "fuzz":
-            return _cmd_fuzz(args, invariants=invariants)
-        if args.command == "repro":
-            return _cmd_repro(args, invariants=invariants)
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    parser.print_help()
-    return 2
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via __main__
-    raise SystemExit(main())

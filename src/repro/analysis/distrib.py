@@ -23,8 +23,8 @@ The model, end to end:
    job payload under ``<root>/jobs/<salt>/<job>/``, so distributed
    quantities must be importable (the per-point functions the libraries
    already export); closures fall back to local execution.
-2. **Claim.**  Workers — ``python -m repro.analysis.distrib worker --root
-   DIR`` — scan the job directory and claim shards through the cache's
+2. **Claim.**  Workers — ``python -m repro distrib worker --root DIR``
+   — scan the job directory and claim shards through the cache's
    atomic lease files (:meth:`ResultCache.claim_lease
    <repro.analysis.cache.ResultCache.claim_lease>`).  A claimed shard is
    heartbeated from a background thread while it executes; a worker
@@ -53,21 +53,12 @@ atomically under content keys, so the loser's write is byte-identical.
 
 Command line::
 
-    python -m repro.analysis.distrib worker --root ROOT     # join the fleet
-    python -m repro.analysis.distrib submit --root ROOT --plan MODULE:FACTORY
-    python -m repro.analysis.distrib status --root ROOT [--json]
-    python -m repro.analysis.distrib run    --root ROOT --plan MODULE:FACTORY
-    python -m repro.analysis.distrib --selftest             # N local workers
-    python -m repro.analysis.distrib --selftest --backend obj   # ... over the
-                                                  # fake object-store server
+    python -m repro distrib worker --root ROOT     # join the fleet
+    python -m repro distrib submit --root ROOT --plan MODULE:FACTORY
+    python -m repro distrib status --root ROOT [--json]
+    python -m repro distrib run    --root ROOT --plan MODULE:FACTORY
 
 ``ROOT`` is a shared directory or an object-store bucket URL.
-``--selftest`` spins up real worker subprocesses over a temporary root,
-checks the fleet merge is bit-identical to the serial executor, kills
-a worker mid-lease to prove the reclaim path, and round-trips a batched
-Monte-Carlo kernel through the fleet; with ``--backend obj`` the
-same fleet coordinates through an in-process fake object-store server —
-the workers share nothing but its HTTP endpoint.
 """
 
 from __future__ import annotations
@@ -81,7 +72,6 @@ import socket
 import threading
 import time
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.cache import (
@@ -93,7 +83,7 @@ from repro.analysis.cache import (
     open_store,
     result_key,
 )
-from repro.analysis.runner import Executor, ExperimentPlan, batched
+from repro.analysis.runner import Executor, ExperimentPlan, _selftest_energy
 from repro.errors import ConfigurationError
 
 __all__ = [
@@ -518,8 +508,8 @@ class Worker:
         crash every worker joined to the shared root.
     stall_after_claim:
         Test hook (``worker --stall``): claim one shard, keep heartbeating,
-        never execute — emulates a worker wedged mid-shard so the selftest
-        can kill it and prove lease reclaim.
+        never execute — emulates a worker wedged mid-shard so a test can
+        kill it and prove lease reclaim.
     store:
         An explicit :class:`~repro.analysis.cache.CacheStore` instead of
         resolving *root* — how fault-injection tests wrap the backend.
@@ -916,11 +906,11 @@ class DistribBackend:
 
 
 # ---------------------------------------------------------------------------
-# CLI (python -m repro.analysis.distrib)
+# The demo job and the CLI (python -m repro distrib)
 
 
 def _selftest_delay(vdd: float) -> float:
-    # Deliberately slowed so concurrent selftest workers interleave on the
+    # Deliberately slowed so concurrent fleet workers interleave on the
     # shard queue instead of one worker draining it before the second boots.
     time.sleep(0.05)
     from repro.models.gate import GateModel
@@ -929,50 +919,17 @@ def _selftest_delay(vdd: float) -> float:
     return GateModel(technology=get_technology("cmos90")).delay(vdd)
 
 
-def _selftest_energy(vdd: float) -> float:
-    from repro.models.gate import GateModel
-    from repro.models.technology import get_technology
-
-    return GateModel(technology=get_technology("cmos90")).transition_energy(vdd)
-
-
 def selftest_plan() -> Tuple[ExperimentPlan, Dict[str, Callable]]:
-    """The demo/selftest job: a 12-point Vdd sweep of two gate quantities.
+    """The demo job: a 12-point Vdd sweep of two gate quantities.
 
     Usable as a CLI plan factory::
 
-        python -m repro.analysis.distrib run --root /shared/root \\
+        python -m repro distrib run --root /shared/root \\
             --plan repro.analysis.distrib:selftest_plan
     """
     vdds = [0.25 + 0.05 * i for i in range(12)]
     return (ExperimentPlan.sweep("vdd", vdds),
             {"delay": _selftest_delay, "energy": _selftest_energy})
-
-
-def _selftest_plan_b() -> Tuple[ExperimentPlan, Dict[str, Callable]]:
-    """A second, distinct job key for the kill/reclaim phase."""
-    vdds = [0.27 + 0.05 * i for i in range(12)]
-    return (ExperimentPlan.sweep("vdd", vdds),
-            {"delay": _selftest_delay, "energy": _selftest_energy})
-
-
-def _selftest_batch_mc_delay(batch):
-    from repro.models.batch import gate_delay
-
-    return gate_delay(batch, 0.4)
-
-
-# Module-level so the pickled job payload can travel to worker processes.
-_selftest_batched_mc = batched(_selftest_batch_mc_delay)
-
-
-def _selftest_plan_c() -> Tuple[ExperimentPlan, Dict[str, Callable]]:
-    """A Monte-Carlo job whose quantity is a *batched* kernel."""
-    from repro.models.technology import get_technology
-
-    return (ExperimentPlan.monte_carlo(16, technology=get_technology("cmos90"),
-                                       seed=11),
-            {"delay": _selftest_batched_mc})
 
 
 def _load_plan_factory(spec: str):
@@ -1009,191 +966,25 @@ def _load_plan_factory(spec: str):
     return plan, quantities
 
 
-def _spawn_worker(root, *extra: str):
-    """A real worker subprocess over *root*, importing this same package."""
-    import subprocess
-    import sys
+def register_cli(parser) -> None:
+    """``python -m repro distrib``: ``worker`` / ``submit`` / ``status`` /
+    ``run`` over a shared root."""
+    parser.description = ("Sharded multi-machine experiment execution over "
+                          "a shared cache root.")
+    commands = parser.add_subparsers(metavar="SUBCOMMAND")
 
-    import repro
-
-    env = dict(os.environ)
-    package_parent = str(Path(repro.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = package_parent + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    return subprocess.Popen(
-        [sys.executable, "-m", "repro.analysis.distrib", "worker",
-         "--root", str(root), *extra],
-        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-
-
-def _selftest(fleet_size: int = 2, backend: str = "fs") -> int:
-    import contextlib
-    import signal
-    import tempfile
-
-    failures = 0
-
-    def check(label: str, ok: bool) -> None:
-        nonlocal failures
-        print(f"  [{'ok' if ok else 'FAIL'}] {label}")
-        if not ok:
-            failures += 1
-
-    def wait_until(predicate, timeout_s: float = 30.0) -> bool:
-        deadline = time.monotonic() + timeout_s
-        while time.monotonic() < deadline:
-            if predicate():
-                return True
-            time.sleep(0.05)
-        return False
-
-    def stop_all(procs) -> None:
-        for proc in procs:
-            if proc.poll() is None:
-                proc.terminate()
-        for proc in procs:
-            try:
-                proc.wait(timeout=10)
-            except Exception:
-                proc.kill()
-
-    print(f"distrib selftest (fleet of {fleet_size}, backend: {backend})")
-    with contextlib.ExitStack() as stack:
-        if backend == "obj":
-            # Shared-nothing: the worker subprocesses reach the root only
-            # through this in-process server's HTTP endpoint — no common
-            # directory exists at all.
-            from repro.analysis.objstore import FakeObjectServer
-
-            server = stack.enter_context(FakeObjectServer())
-            tmp = f"{server.url}/distrib-selftest"
-        else:
-            tmp = stack.enter_context(tempfile.TemporaryDirectory())
-        # -- phase 1: a fleet of real workers merges bit-identically ------
-        plan, quantities = selftest_plan()
-        serial = Executor(workers=0).run(plan, quantities)
-        fleet = [_spawn_worker(tmp, "--lease-ttl", "5", "--poll", "0.05",
-                               "--max-idle", "60")
-                 for _ in range(fleet_size)]
-        booted = wait_until(lambda: len(list_workers(tmp)) >= fleet_size)
-        check(f"{fleet_size} workers announced themselves", booted)
-        job = submit(plan, quantities, root=tmp, shard_size=1)
-        check("submit is idempotent",
-              submit(plan, quantities, root=tmp, shard_size=1).key == job.key)
-        try:
-            values, metas = wait_for_job(job, participate=False,
-                                         poll_s=0.05, timeout_s=90.0)
-        except DistribTimeout:
-            stop_all(fleet)
-            check("fleet completed the job before the timeout", False)
-            print("selftest:", f"{failures} FAILURES")
-            return 1
-        check("fleet merge is bit-identical to the serial executor",
-              values == serial.values)
-        check("every shard carries provenance",
-              len(metas) == len(job.shards)
-              and all(m["worker"] != "?" and m["wall_time_s"] > 0.0
-                      for m in metas))
-        check(">= 2 distinct workers executed shards",
-              len({m["worker"] for m in metas}) >= 2)
-        replay = Executor(persistent=ResultCache(root=tmp, mode="ro")).run(
-            plan, quantities)
-        check("merged job answers the plain persistent cache",
-              replay.provenance.executor == "persistent-cache"
-              and replay.values == serial.values)
-        status = job_status(job)
-        check("status reports the job complete and merged",
-              status["complete"] and status["merged"])
-        stop_all(fleet)
-
-        # -- phase 2: a worker killed mid-lease is reclaimed --------------
-        plan_b, quantities_b = _selftest_plan_b()
-        serial_b = Executor(workers=0).run(plan_b, quantities_b)
-        job_b = submit(plan_b, quantities_b, root=tmp, shard_size=1)
-        cache = ResultCache(root=tmp, mode="ro", salt=job_b.salt)
-        staller = _spawn_worker(tmp, "--lease-ttl", "1", "--poll", "0.05",
-                                "--stall")
-
-        def stalled_lease():
-            for shard in job_b.shards:
-                info = cache.lease_info(shard.key)
-                if info is not None:
-                    return shard, info
-            return None
-
-        claimed = wait_until(lambda: stalled_lease() is not None)
-        check("staller claimed a shard and holds its lease", claimed)
-        stalled_shard, stalled_info = stalled_lease() or (None, None)
-        if stalled_shard is not None:
-            os.kill(staller.pid, signal.SIGKILL)
-            staller.wait()
-            survivors = [_spawn_worker(tmp, "--lease-ttl", "1",
-                                       "--poll", "0.05", "--max-idle", "60")
-                         for _ in range(2)]
-            try:
-                values_b, metas_b = wait_for_job(job_b, participate=False,
-                                                 poll_s=0.05, timeout_s=90.0)
-            except DistribTimeout:
-                stop_all(survivors)
-                check("survivors completed the job before the timeout", False)
-                print("selftest:", f"{failures} FAILURES")
-                return 1
-            check("reclaimed merge is bit-identical to the serial executor",
-                  values_b == serial_b.values)
-            reclaimed = metas_b[stalled_shard.index]
-            check("the killed worker's shard was completed by a survivor",
-                  reclaimed["worker"] not in ("?", stalled_info["owner"]))
-            stop_all(survivors)
-
-        # -- phase 3: a batched Monte-Carlo kernel travels the fleet ------
-        plan_c, quantities_c = _selftest_plan_c()
-        serial_c = Executor(workers=0, batch=False).run(plan_c, quantities_c)
-        job_c = submit(plan_c, quantities_c, root=tmp, shard_size=4)
-        try:
-            values_c, metas_c = wait_for_job(job_c, participate=True,
-                                             poll_s=0.05, timeout_s=90.0)
-        except DistribTimeout:
-            check("batched Monte-Carlo job completed before the timeout",
-                  False)
-            print("selftest:", f"{failures} FAILURES")
-            return 1
-        check("batched Monte-Carlo merge is bit-identical to per-point",
-              values_c == serial_c.values)
-        check("batched job produced one result per shard",
-              len(metas_c) == len(job_c.shards))
-    print("selftest:", "PASS" if failures == 0 else f"{failures} FAILURES")
-    return 0 if failures == 0 else 1
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Fleet CLI: ``worker`` / ``submit`` / ``status`` / ``run`` /
-    ``--selftest``."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.analysis.distrib",
-        description="Sharded multi-machine experiment execution over a "
-                    "shared cache root.")
-    parser.add_argument("--selftest", action="store_true",
-                        help="spin local workers over a temp root and check "
-                             "merge identity + lease reclaim")
-    parser.add_argument("--fleet", type=int, default=2,
-                        help="selftest fleet size (default: 2)")
-    parser.add_argument("--backend", choices=("fs", "obj"), default="fs",
-                        help="with --selftest: coordinate over a temp "
-                             "directory (fs) or an in-process fake "
-                             "object-store server (obj)")
-    commands = parser.add_subparsers(dest="command")
-
-    def add_root(sub):
+    def add_command(name: str, help_text: str, func):
+        sub = commands.add_parser(name, help=help_text)
         sub.add_argument("--root", required=True,
                          help="the shared cache root: a directory or an "
                               "object-store bucket URL "
                               "(http://host:port/bucket)")
+        sub.set_defaults(func=func)
+        return sub
 
-    worker_cmd = commands.add_parser(
-        "worker", help="join the fleet: claim, execute and publish shards")
-    add_root(worker_cmd)
+    worker_cmd = add_command(
+        "worker", "join the fleet: claim, execute and publish shards",
+        _worker_cmd)
     worker_cmd.add_argument("--lease-ttl", type=float,
                             default=DEFAULT_LEASE_TTL,
                             help="seconds without a heartbeat before this "
@@ -1211,9 +1002,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                             help="test hook: claim one shard, heartbeat, "
                                  "never execute")
 
-    submit_cmd = commands.add_parser(
-        "submit", help="partition a plan into shards and publish the job")
-    add_root(submit_cmd)
+    submit_cmd = add_command(
+        "submit", "partition a plan into shards and publish the job",
+        _submit_cmd)
     submit_cmd.add_argument("--plan", required=True,
                             help="MODULE:CALLABLE returning "
                                  "(plan, quantities)")
@@ -1221,15 +1012,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                             default=DEFAULT_SHARD_SIZE,
                             help="points per shard")
 
-    status_cmd = commands.add_parser(
-        "status", help="per-job shard states and fleet presence")
-    add_root(status_cmd)
+    status_cmd = add_command(
+        "status", "per-job shard states and fleet presence", _status_cmd)
     status_cmd.add_argument("--json", action="store_true",
                             help="machine-readable output")
 
-    run_cmd = commands.add_parser(
-        "run", help="submit, participate, block until merged")
-    add_root(run_cmd)
+    run_cmd = add_command(
+        "run", "submit, participate, block until merged", _run_cmd)
     run_cmd.add_argument("--plan", required=True,
                          help="MODULE:CALLABLE returning (plan, quantities)")
     run_cmd.add_argument("--shard-size", type=int,
@@ -1240,102 +1029,82 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     run_cmd.add_argument("--timeout", type=float, default=None,
                          help="give up after this many seconds")
 
-    args = parser.parse_args(argv)
-    if args.selftest:
-        return _selftest(max(2, args.fleet), backend=args.backend)
-    if args.command is None:
-        parser.print_help()
-        return 2
 
-    if args.command == "worker":
-        worker = Worker(root=args.root, lease_ttl=args.lease_ttl,
-                        poll_s=args.poll,
-                        executor_workers=args.executor_workers,
-                        stall_after_claim=args.stall)
-        print(f"worker {worker.id} joining fleet at {args.root}", flush=True)
-        if args.once:
-            worker.announce()
-            executed = worker.run_once()
-            worker.retire()
-            print(f"worker {worker.id} executed {executed} shard(s)")
-            return 0
-        executed = worker.run_forever(max_idle_s=args.max_idle)
-        print(f"worker {worker.id} idle; executed {executed} shard(s)")
+def _worker_cmd(args) -> int:
+    worker = Worker(root=args.root, lease_ttl=args.lease_ttl,
+                    poll_s=args.poll, executor_workers=args.executor_workers,
+                    stall_after_claim=args.stall)
+    print(f"worker {worker.id} joining fleet at {args.root}", flush=True)
+    if args.once:
+        worker.announce()
+        executed = worker.run_once()
+        worker.retire()
+        print(f"worker {worker.id} executed {executed} shard(s)")
         return 0
+    executed = worker.run_forever(max_idle_s=args.max_idle)
+    print(f"worker {worker.id} idle; executed {executed} shard(s)")
+    return 0
 
-    if args.command == "submit":
-        plan, quantities = _load_plan_factory(args.plan)
-        job = submit(plan, quantities, root=args.root,
-                     shard_size=args.shard_size)
-        print(f"submitted job {job.key}: {job.points} point(s) in "
-              f"{len(job.shards)} shard(s) under {args.root}")
+
+def _submit_cmd(args) -> int:
+    plan, quantities = _load_plan_factory(args.plan)
+    job = submit(plan, quantities, root=args.root,
+                 shard_size=args.shard_size)
+    print(f"submitted job {job.key}: {job.points} point(s) in "
+          f"{len(job.shards)} shard(s) under {args.root}")
+    return 0
+
+
+def _status_cmd(args) -> int:
+    jobs = [job_status(job) for job in list_jobs(args.root)]
+    workers = list_workers(args.root)
+    queue = queue_summary(jobs)
+    if args.json:
+        print(json.dumps({"jobs": jobs, "workers": list(workers),
+                          "workers_skipped": workers.skipped,
+                          "queue_depth": queue["queue_depth"],
+                          "leased": queue["leased"],
+                          "oldest_unclaimed_age_s":
+                              queue["oldest_unclaimed_age_s"]},
+                         indent=2, sort_keys=True))
         return 0
-
-    if args.command == "status":
-        jobs = [job_status(job) for job in list_jobs(args.root)]
-        workers = list_workers(args.root)
-        queue = queue_summary(jobs)
-        if args.json:
-            print(json.dumps({"jobs": jobs, "workers": list(workers),
-                              "workers_skipped": workers.skipped,
-                              "queue_depth": queue["queue_depth"],
-                              "leased": queue["leased"],
-                              "oldest_unclaimed_age_s":
-                                  queue["oldest_unclaimed_age_s"]},
-                             indent=2, sort_keys=True))
-            return 0
-        if not jobs:
-            print("no jobs submitted")
-        for status in jobs:
-            merged = " merged" if status["merged"] else ""
-            print(f"job {status['key'][:16]}… [{status['kind']}] "
-                  f"{status['done']}/{status['total']} shard(s) done"
-                  f"{merged}")
-            for shard in status["shards"]:
-                owner = f" by {shard['owner']}" if shard["owner"] else ""
-                print(f"  shard {shard['index']:3d} "
-                      f"[{shard['start']}, {shard['stop']}): "
-                      f"{shard['state']}{owner}")
-        if queue["queue_depth"]:
-            print(f"queue: {queue['queue_depth']} unclaimed shard(s) "
-                  f"({queue['leased']} leased), oldest waiting "
-                  f"{queue['oldest_unclaimed_age_s']:.1f}s")
-        if workers:
-            print("workers:")
-            for info in workers:
-                print(f"  {info['worker']}: {info['executed']} shard(s), "
-                      f"heartbeat {info['age_s']:.1f}s ago")
-        if workers.skipped:
-            print(f"  ({workers.skipped} unreadable worker presence "
-                  "object(s) skipped)")
-        return 0
-
-    if args.command == "run":
-        plan, quantities = _load_plan_factory(args.plan)
-        job = submit(plan, quantities, root=args.root,
-                     shard_size=args.shard_size)
-        print(f"coordinating job {job.key} "
-              f"({len(job.shards)} shard(s))...", flush=True)
-        values, metas = wait_for_job(job,
-                                     participate=not args.no_participate,
-                                     timeout_s=args.timeout)
-        workers = sorted({str(m["worker"]) for m in metas})
-        print(f"merged {job.points} point(s) of "
-              f"{', '.join(job.names)} from {len(metas)} shard(s) "
-              f"executed by {len(workers)} worker(s): {', '.join(workers)}")
-        return 0
-
-    parser.print_help()
-    return 2
+    if not jobs:
+        print("no jobs submitted")
+    for status in jobs:
+        merged = " merged" if status["merged"] else ""
+        print(f"job {status['key'][:16]}… [{status['kind']}] "
+              f"{status['done']}/{status['total']} shard(s) done"
+              f"{merged}")
+        for shard in status["shards"]:
+            owner = f" by {shard['owner']}" if shard["owner"] else ""
+            print(f"  shard {shard['index']:3d} "
+                  f"[{shard['start']}, {shard['stop']}): "
+                  f"{shard['state']}{owner}")
+    if queue["queue_depth"]:
+        print(f"queue: {queue['queue_depth']} unclaimed shard(s) "
+              f"({queue['leased']} leased), oldest waiting "
+              f"{queue['oldest_unclaimed_age_s']:.1f}s")
+    if workers:
+        print("workers:")
+        for info in workers:
+            print(f"  {info['worker']}: {info['executed']} shard(s), "
+                  f"heartbeat {info['age_s']:.1f}s ago")
+    if workers.skipped:
+        print(f"  ({workers.skipped} unreadable worker presence "
+              "object(s) skipped)")
+    return 0
 
 
-if __name__ == "__main__":
-    import sys
-
-    # Under ``python -m`` this file executes as ``__main__`` while the
-    # package import created a second copy as ``repro.analysis.distrib``;
-    # dispatch to that canonical copy so pickled payloads reference
-    # importable module paths, never ``__main__``.
-    from repro.analysis.distrib import main as _canonical_main
-
-    sys.exit(_canonical_main())
+def _run_cmd(args) -> int:
+    plan, quantities = _load_plan_factory(args.plan)
+    job = submit(plan, quantities, root=args.root,
+                 shard_size=args.shard_size)
+    print(f"coordinating job {job.key} "
+          f"({len(job.shards)} shard(s))...", flush=True)
+    values, metas = wait_for_job(job, participate=not args.no_participate,
+                                 timeout_s=args.timeout)
+    workers = sorted({str(m["worker"]) for m in metas})
+    print(f"merged {job.points} point(s) of "
+          f"{', '.join(job.names)} from {len(metas)} shard(s) "
+          f"executed by {len(workers)} worker(s): {', '.join(workers)}")
+    return 0

@@ -27,7 +27,6 @@ R5    explicit batched/per-point kernel pairs share ``__cache_fingerprint__``
     python -m repro check --json               # stable report document
     python -m repro check --rule R1            # one rule only
     python -m repro check --select R1,R2 --ignore R2
-    python -m repro check --selftest           # fixture corpus + clean tree
 
 False positives are silenced inline with ``# repro: allow[RULE] --
 reason`` (same line, or a comment-only line directly above); a bare
@@ -40,7 +39,7 @@ from __future__ import annotations
 
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from repro.analysis.lint.engine import (RULES, check_paths,  # noqa: F401
                                         default_root, known_rule_ids)
@@ -49,7 +48,7 @@ from repro.analysis.lint.findings import (Finding,  # noqa: F401
                                           report_text)
 
 __all__ = ["Finding", "SCHEMA_VERSION", "check_paths", "default_root",
-           "main", "report_json", "report_text"]
+           "register_cli", "report_json", "report_text"]
 
 
 def _split(value: Optional[str]) -> List[str]:
@@ -57,15 +56,12 @@ def _split(value: Optional[str]) -> List[str]:
             if item.strip()]
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """``python -m repro check`` — returns the process exit code."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro check",
-        description="Check the source tree against the project "
-                    "invariants (determinism, store layering, clock and "
-                    "lock discipline, batched cache-key hygiene).")
+def register_cli(parser) -> None:
+    """``python -m repro check``: exit 0 clean, 1 findings, 2 usage error."""
+    parser.description = (
+        "Check the source tree against the project invariants "
+        "(determinism, store layering, clock and lock discipline, batched "
+        "cache-key hygiene).")
     parser.add_argument("paths", nargs="*", type=Path,
                         help="files or directories (default: the "
                              "installed repro package)")
@@ -80,12 +76,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                              "(default: all)")
     parser.add_argument("--ignore", default=None, metavar="LIST",
                         help="comma-separated rule ids to skip")
-    parser.add_argument("--selftest", action="store_true",
-                        help="run the embedded known-bad/known-good "
-                             "corpus, then require a clean source tree")
-    args = parser.parse_args(list(argv) if argv is not None else None)
-    if args.selftest:
-        return _selftest()
+    parser.set_defaults(func=_check_cmd)
+
+
+def _check_cmd(args) -> int:
     select = _split(args.select) + list(args.rule)
     paths = args.paths or [default_root()]
     missing = [path for path in paths if not path.exists()]
@@ -107,95 +101,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                                 suppressed=suppressed):
             print(line)
     return 1 if findings else 0
-
-
-# ---------------------------------------------------------------------------
-# Selftest: the gate must have teeth, and the tree must be clean.
-
-_BAD_SNIPPETS = {
-    # rule → (relative path inside a fake repro/ tree, source)
-    "R1": ("models/seeded_violation.py",
-           "import time\n\n\ndef point(x):\n    return x * time.time()\n"),
-    "R2": ("analysis/serve/raw_io.py",
-           "def save(path, data):\n"
-           "    with open(path, 'w') as fh:\n        fh.write(data)\n"),
-    "R3": ("analysis/distrib.py",
-           "import time\n\n\ndef lease_expired(heartbeat, ttl):\n"
-           "    return time.time() - heartbeat > ttl\n"),
-    "R4": ("analysis/serve/svc.py",
-           "import threading\n\n\nclass Svc:\n"
-           "    def __init__(self):\n"
-           "        self._lock = threading.Lock()\n"
-           "        self.done = 0\n\n"
-           "    def finish(self):\n        self.done += 1\n"),
-    "R5": ("analysis/campaign/pairing.py",
-           "from repro.analysis.runner import batched\n\n\n"
-           "def kernel(tech, xs):\n    return xs\n\n\n"
-           "def point(tech, x):\n    return x\n\n\n"
-           "q = batched(kernel, point=point)\n"),
-}
-
-_GOOD_SNIPPET = (
-    "models/seeded_ok.py",
-    "import numpy as np\n\n\ndef draw(seed, i):\n"
-    "    rng = np.random.default_rng(np.random.SeedSequence((seed, i)))\n"
-    "    return rng.normal()\n")
-
-_SUPPRESSED_SNIPPET = (
-    "models/annotated.py",
-    "import time\n\n\ndef stamp(x):\n"
-    "    # selftest fixture exercising the allow path end to end\n"
-    "    return time.time() + x  "
-    "# repro: allow[R1] -- selftest fixture, never executed\n")
-
-
-def _selftest() -> int:
-    """Corpus check + clean-tree check; prints PASS/FAIL, returns failures."""
-    import tempfile
-
-    failures = 0
-
-    def check(label: str, ok: bool) -> None:
-        nonlocal failures
-        print(f"  {'ok  ' if ok else 'FAIL'} {label}")
-        failures += 0 if ok else 1
-
-    print("lint selftest")
-    with tempfile.TemporaryDirectory() as tmp:
-        root = Path(tmp) / "repro"
-        for rule, (rel, source) in _BAD_SNIPPETS.items():
-            target = root / rel
-            target.parent.mkdir(parents=True, exist_ok=True)
-            target.write_text(source)
-            findings, _, _ = check_paths([target])
-            check(f"{rule}: seeded violation is flagged",
-                  any(finding.rule == rule for finding in findings))
-        for rel, source in (_GOOD_SNIPPET,):
-            target = root / rel
-            target.parent.mkdir(parents=True, exist_ok=True)
-            target.write_text(source)
-            findings, _, _ = check_paths([target])
-            check("seeded-generator snippet passes clean", not findings)
-        rel, source = _SUPPRESSED_SNIPPET
-        target = root / rel
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(source)
-        findings, _, suppressed = check_paths([target])
-        check("allow comment suppresses and is counted",
-              not findings and suppressed == 1)
-        findings, _, _ = check_paths(
-            [root / _BAD_SNIPPETS["R1"][0]], select=["R2"])
-        check("--select scopes rules", not findings)
-    tree = default_root()
-    findings, files, suppressed = check_paths([tree])
-    for finding in findings[:10]:
-        print(f"    {finding.path}:{finding.line}: {finding.rule} "
-              f"{finding.message}")
-    check(f"source tree is clean ({files} files, "
-          f"{suppressed} suppressed)", not findings)
-    print("selftest:", "PASS" if failures == 0 else f"{failures} FAILURES")
-    return 0 if failures == 0 else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -38,7 +38,7 @@ backend's :func:`~repro.analysis.cache.object_etag`.
 
 :class:`FakeObjectServer` is an in-process implementation of that
 protocol (a threaded stdlib HTTP server over an in-memory dict), so the
-selftests, the test suite and CI exercise the full client/server path —
+test suite and CI exercise the full client/server path —
 including subprocess fleet workers talking to it over real sockets —
 without cloud credentials or third-party packages.  Conditional puts are
 evaluated under one server-side lock, giving the genuine atomic
@@ -46,14 +46,12 @@ compare-and-swap the lease protocol is specified against.
 
 Command line::
 
-    python -m repro.analysis.objstore --serve [--host H] [--port P]
-    python -m repro.analysis.objstore --selftest
+    python -m repro serve objstore [--host H] [--port P]
 
-``--serve`` runs a standalone server (e.g. to back
+runs a standalone server (e.g. to back
 ``pytest benchmarks --runner-cache-backend obj:http://HOST:PORT/bench``
 or a ``distrib worker --root http://HOST:PORT/fleet`` fleet on one
-network); ``--selftest`` checks CRUD, both conditional-put primitives,
-pagination and concurrent compare-and-swap exclusivity.
+network).
 """
 
 from __future__ import annotations
@@ -63,7 +61,7 @@ import json
 import threading
 import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.cache import (
     CacheStore,
@@ -308,7 +306,7 @@ class _ObjectStoreHandler(BaseHTTPRequestHandler):
     server_version = "FakeObjectStore/1.0"
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
-        pass  # selftests and CI logs stay readable
+        pass  # test and CI logs stay readable
 
     # -- plumbing ----------------------------------------------------------
 
@@ -376,21 +374,25 @@ class _ObjectStoreHandler(BaseHTTPRequestHandler):
         data = self.rfile.read(length) if length else b""
         if_none_match = self.headers.get("If-None-Match")
         if_match = self.headers.get("If-Match")
+        # Decide under the lock, reply after releasing it: a client that
+        # stops reading must not stall every other request on the lock.
         with self._lock:
             objects = self._buckets.setdefault(bucket, {})
             existing = objects.get(key)
             if if_none_match == "*" and existing is not None:
-                self._reply(412)
-                return
-            if if_match is not None:
-                if existing is None:
-                    self._reply(404)
-                    return
-                if object_etag(existing) != if_match.strip('"'):
-                    self._reply(412)
-                    return
-            objects[key] = data
-        self._reply(200, etag=object_etag(data))
+                status = 412
+            elif if_match is not None and existing is None:
+                status = 404
+            elif (if_match is not None
+                  and object_etag(existing) != if_match.strip('"')):
+                status = 412
+            else:
+                objects[key] = data
+                status = 200
+        if status == 200:
+            self._reply(200, etag=object_etag(data))
+        else:
+            self._reply(status)
 
     def do_DELETE(self) -> None:  # noqa: N802
         bucket, key, _ = self._split_path()
@@ -469,122 +471,27 @@ class FakeObjectServer:
 
 
 # ---------------------------------------------------------------------------
-# CLI (python -m repro.analysis.objstore)
+# CLI (python -m repro serve objstore)
 
 
-def _selftest() -> int:
-    """Protocol checks the client/server pair must satisfy end to end."""
-    failures = 0
-
-    def check(label: str, ok: bool) -> None:
-        nonlocal failures
-        print(f"  [{'ok' if ok else 'FAIL'}] {label}")
-        if not ok:
-            failures += 1
-
-    print("objstore selftest")
-    with FakeObjectServer() as server:
-        store = ObjectStore(f"{server.url}/selftest", page_size=3)
-        check("miss reads cleanly",
-              store.get("absent") is None and store.stat("absent") is None
-              and not store.delete("absent"))
-        etag = store.put_atomic("dir/a", b"payload")
-        check("put/get round trip with content ETag",
-              store.get("dir/a") == StoredObject(b"payload", etag)
-              and etag == object_etag(b"payload"))
-        check("stat reports size and ETag without the body",
-              store.stat("dir/a") == ObjectInfo("dir/a", 7, etag))
-        created = store.put_if_absent("dir/b", b"first")
-        check("exclusive create wins once",
-              created is not None
-              and store.put_if_absent("dir/b", b"second") is None
-              and store.get("dir/b").data == b"first")
-        check("conditional replace demands the live ETag",
-              store.put_if_match("dir/b", b"x", "stale") is None
-              and store.put_if_match("dir/b", b"swapped",
-                                     created) is not None
-              and store.get("dir/b").data == b"swapped")
-
-        for index in range(8):
-            store.put_atomic(f"page/{index:02d}", bytes([index]))
-        listed = store.list("page/")
-        check("listing paginates to completeness (page_size=3, 8 keys)",
-              [info.key for info in listed]
-              == [f"page/{i:02d}" for i in range(8)]
-              and all(info.size == 1 for info in listed))
-        check("prefix scoping excludes other keys",
-              [info.key for info in store.list("dir/")]
-              == ["dir/a", "dir/b"])
-
-        # Concurrent compare-and-swap: every racer conditions on the same
-        # ETag, so the server must admit exactly one.
-        base_etag = store.put_atomic("cas", b"base")
-        racers = [ObjectStore(f"{server.url}/selftest") for _ in range(8)]
-        outcomes: List[Optional[str]] = [None] * len(racers)
-
-        def race(index: int) -> None:
-            outcomes[index] = racers[index].put_if_match(
-                "cas", b"winner-%d" % index, base_etag)
-
-        threads = [threading.Thread(target=race, args=(index,))
-                   for index in range(len(racers))]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        winners = [index for index, outcome in enumerate(outcomes)
-                   if outcome is not None]
-        check("concurrent CAS admits exactly one winner",
-              len(winners) == 1
-              and store.get("cas").data == b"winner-%d" % winners[0])
-
-        check("delete removes exactly once",
-              store.delete("dir/a") and not store.delete("dir/a"))
-    print("selftest:", "PASS" if failures == 0 else f"{failures} FAILURES")
-    return 0 if failures == 0 else 1
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Serve (``--serve``) or smoke-test (``--selftest``) the object store."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.analysis.objstore",
-        description="Minimal S3-style object store backing the experiment "
-                    "cache across shared-nothing fleets.")
-    parser.add_argument("--serve", action="store_true",
-                        help="run a standalone server until interrupted")
+def register_cli(parser) -> None:
+    """``python -m repro serve objstore``: a standalone server."""
     parser.add_argument("--host", default="127.0.0.1",
-                        help="bind address for --serve (default: 127.0.0.1; "
-                             "use 0.0.0.0 for a fleet-visible endpoint)")
+                        help="bind address (default: 127.0.0.1; use "
+                             "0.0.0.0 for a fleet-visible endpoint)")
     parser.add_argument("--port", type=int, default=9199,
-                        help="bind port for --serve (default: 9199; "
-                             "0 picks a free port)")
-    parser.add_argument("--selftest", action="store_true",
-                        help="run the client/server protocol checks")
-    args = parser.parse_args(argv)
-    if args.selftest:
-        return _selftest()
-    if args.serve:
-        server = FakeObjectServer(host=args.host, port=args.port)
-        print(f"object store serving at {server.url} "
-              f"(root spec: {server.url}/<bucket>)", flush=True)
-        try:
-            server.start()._thread.join()
-        except KeyboardInterrupt:
-            print("shutting down")
-            server.stop()
-        return 0
-    parser.print_help()
-    return 2
+                        help="bind port (default: 9199; 0 picks a free "
+                             "port)")
+    parser.set_defaults(func=_serve)
 
 
-if __name__ == "__main__":
-    import sys
-
-    # Under ``python -m`` this file executes as ``__main__`` while the
-    # package import created a second copy as ``repro.analysis.objstore``;
-    # dispatch to the canonical copy, matching the package's other CLIs.
-    from repro.analysis.objstore import main as _canonical_main
-
-    sys.exit(_canonical_main())
+def _serve(args) -> int:
+    server = FakeObjectServer(host=args.host, port=args.port)
+    print(f"object store serving at {server.url} "
+          f"(root spec: {server.url}/<bucket>)", flush=True)
+    try:
+        server.start()._thread.join()
+    except KeyboardInterrupt:
+        print("shutting down")
+        server.stop()
+    return 0

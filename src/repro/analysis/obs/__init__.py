@@ -26,16 +26,11 @@ module                                role
     python -m repro obs append BENCH_ci.json     # snapshot → trajectory
     python -m repro obs check BENCH_ci.json      # the CI regression gate
     python -m repro obs dashboard --root ROOT    # fleet-only dashboard
-    python -m repro obs --selftest
 
-``scripts/bench_trajectory.py`` and ``scripts/check_bench_regression.py``
-are thin wrappers over ``append``/``check`` for CI; the full feed and
-policy reference is ``docs/observability.md``.
+The full feed and policy reference is ``docs/observability.md``.
 """
 
 from __future__ import annotations
-
-from typing import Optional, Sequence
 
 from repro.analysis.obs.dashboard import (  # noqa: F401 (re-exports)
     DashboardServer,
@@ -69,132 +64,22 @@ __all__ = [
     "collect_feeds",
     "ingest_report",
     "load_history",
-    "main",
     "render_dashboard",
     "sparkline",
 ]
 
 
-def _selftest() -> int:
-    """Trajectory round trip + gate verdicts + a full page render."""
-    import json
-    import tempfile
-    from pathlib import Path
+def register_cli(parser) -> None:
+    """``python -m repro obs``: ``append`` / ``check`` / ``dashboard``."""
+    from repro.analysis.obs import dashboard, trajectory
 
-    failures = 0
-
-    def check(label: str, ok: bool) -> None:
-        nonlocal failures
-        print(f"  [{'ok' if ok else 'FAIL'}] {label}")
-        if not ok:
-            failures += 1
-
-    print("obs selftest")
-
-    def report(median_s: float) -> dict:
-        return {"benchmarks": [{
-            "name": "test_spark", "stats": {"median": median_s},
-            "extra_info": {"speedup_vs_per_point": 42.0}}]}
-
-    with tempfile.TemporaryDirectory() as tmp:
-        history_path = Path(tmp) / "BENCH_history.jsonl"
-        for median in (0.100, 0.102, 0.098):
-            points = ingest_report(report(median), sha="s", date="d")
-            append_history(history_path, points)
-        history = load_history(history_path)
-        check("append/load round-trips every line",
-              len(history) == 3 and history[0].median_s == 0.100
-              and history[-1].extra["speedup_vs_per_point"] == 42.0)
-        baseline = baseline_for(history, "test_spark")
-        check("baseline is the trailing median", baseline == 0.100)
-
-        fast = ingest_report(report(0.090), sha="s", date="d")
-        slow = ingest_report(report(0.150), sha="s", date="d")
-        unknown = ingest_report({"benchmarks": [
-            {"name": "test_new", "stats": {"median": 1.0}}]},
-            sha="s", date="d")
-        check("an improvement passes the gate",
-              check_regressions(history, fast) == ([], []))
-        regressions, _ = check_regressions(history, slow)
-        check("a >20% regression fails the gate",
-              len(regressions) == 1 and not regressions[0].allowed
-              and abs(regressions[0].ratio - 1.5) < 1e-9)
-        allowed, _ = check_regressions(history, slow,
-                                       allow=["test_spark"])
-        check("--allow waives a deliberate recalibration",
-              len(allowed) == 1 and allowed[0].allowed)
-        check("a benchmark without history is reported, not failed",
-              check_regressions(history, unknown)[0] == []
-              and check_regressions(history, unknown)[1] == ["test_new"])
-
-        page = render_dashboard(
-            service={"scheduler": {"scheduler": "vtc", "depth": 1,
-                                   "queued_by_tenant": {"alice": 1},
-                                   "virtual_time": {"alice": 8.0}},
-                     "admission": {"admitted": 3, "rejected": 0,
-                                   "max_depth": 64, "max_cost": None,
-                                   "drain_rate_cost_per_s": 5.0},
-                     "tenants": {"alice": {"submitted": 3, "completed": 2,
-                                           "failed": 0}},
-                     "plans": {"queued": 1, "running": 0, "done": 2,
-                               "failed": 0}},
-            fleet={"jobs": 1, "queue_depth": 2, "leased": 1,
-                   "oldest_unclaimed_age_s": 4.2, "workers": [],
-                   "workers_skipped": 0},
-            cache={"root": tmp, "mode": "rw", "current_salt": "abc",
-                   "salts": {}, "session": {"hits": 5, "misses": 1,
-                                            "writes": 1}},
-            trajectory=history)
-        check("the page renders all five sections",
-              all(f'id="{section}"' in page for section in
-                  ("tenants", "admission", "fleet", "cache",
-                   "trajectory")))
-        check("the trajectory renders as an inline-SVG sparkline",
-              '<svg class="spark"' in page and "test_spark" in page)
-        check("a feed-less page still renders every section",
-              all(f'id="{section}"' in render_dashboard()
-                  for section in ("tenants", "admission", "fleet",
-                                  "cache", "trajectory")))
-        check("history loading skips torn lines",
-              (history_path.write_text(
-                  history_path.read_text() + "{torn\n"),
-               len(load_history(history_path)))[1] == 3)
-        check("JSONL lines are valid JSON objects",
-              all(isinstance(json.loads(line), dict) for line in
-                  history_path.read_text().splitlines()[:3]))
-
-    print("selftest:", "PASS" if failures == 0 else f"{failures} FAILURES")
-    return 0 if failures == 0 else 1
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """``python -m repro obs`` — dispatch append/check/dashboard."""
-    import sys
-
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] == "append":
-        from repro.analysis.obs.trajectory import main_append
-
-        return main_append(argv[1:])
-    if argv and argv[0] == "check":
-        from repro.analysis.obs.trajectory import main_check
-
-        return main_check(argv[1:])
-    if argv and argv[0] == "dashboard":
-        from repro.analysis.obs.dashboard import main_dashboard
-
-        return main_dashboard(argv[1:])
-    if argv and argv[0] == "--selftest":
-        return _selftest()
-    print("usage: python -m repro obs {append,check,dashboard} [...] "
-          "| --selftest\n"
-          "  append BENCH.json      append a pytest-benchmark snapshot "
-          "to BENCH_history.jsonl\n"
-          "  check BENCH.json       gate a snapshot against the "
-          "trailing-median baseline\n"
-          "  dashboard [--root R]   serve the live HTML dashboard "
-          "(--out FILE renders once)\n"
-          "  --selftest             trajectory/gate/dashboard smoke "
-          "checks",
-          file=sys.stderr if argv else sys.stdout)
-    return 2 if argv else 0
+    commands = parser.add_subparsers(metavar="SUBCOMMAND")
+    for name, help_text, register in (
+            ("append", "append a pytest-benchmark snapshot to the perf "
+                       "trajectory", trajectory.register_append_cli),
+            ("check", "gate a snapshot against the trailing-median "
+                      "baseline", trajectory.register_check_cli),
+            ("dashboard", "serve the live HTML dashboard (--out FILE "
+                          "renders once)", dashboard.register_cli)):
+        register(commands.add_parser(name, help=help_text,
+                                     description=help_text))

@@ -275,7 +275,7 @@ def _trajectory_section(trajectory: Optional[Sequence[TrajectoryPoint]],
     if not trajectory:
         return _section("trajectory", "Bench trajectory", _unavailable(
             "no committed trajectory — append one with "
-            "`python scripts/bench_trajectory.py BENCH_ci.json`"))
+            "`python -m repro obs append BENCH_ci.json`"))
     by_benchmark: Dict[str, List[TrajectoryPoint]] = {}
     for point in trajectory:
         by_benchmark.setdefault(point.benchmark, []).append(point)
@@ -474,15 +474,12 @@ class DashboardServer:
         self.stop()
 
 
-def main_dashboard(argv: Optional[Sequence[str]] = None) -> int:
+def register_cli(parser) -> None:
     """``python -m repro obs dashboard`` — serve or render the page."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro obs dashboard",
-        description="Serve (or render once with --out) the live "
-                    "observability dashboard over the fleet/cache/"
-                    "trajectory feeds, no experiment service required.")
+    parser.description = (
+        "Serve (or render once with --out) the live observability "
+        "dashboard over the fleet/cache/trajectory feeds, no experiment "
+        "service required.")
     parser.add_argument("--root", default=None, metavar="ROOT",
                         help="distrib fleet root (directory or bucket "
                              "URL) to watch")
@@ -503,8 +500,10 @@ def main_dashboard(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--out", default=None, metavar="FILE",
                         help="render one static page to FILE ('-' = "
                              "stdout) and exit instead of serving")
-    args = parser.parse_args(argv)
+    parser.set_defaults(func=_dashboard_cmd)
 
+
+def _dashboard_cmd(args) -> int:
     def collect() -> Dict[str, object]:
         return collect_feeds(root=args.root, cache_root=args.cache_root,
                              history=args.history,

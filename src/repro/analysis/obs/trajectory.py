@@ -33,10 +33,10 @@ slowdown, append the new timing, and the baseline follows).  A
 benchmark with *no* history is never an error: new benchmarks enter the
 trajectory by being appended, not by being gated.
 
-CLI (both also reachable as ``python -m repro obs {append,check}``)::
+CLI::
 
-    python scripts/bench_trajectory.py BENCH_ci.json        # append
-    python scripts/check_bench_regression.py BENCH_ci.json  # gate
+    python -m repro obs append BENCH_ci.json   # append
+    python -m repro obs check BENCH_ci.json    # gate
 """
 
 from __future__ import annotations
@@ -61,8 +61,6 @@ __all__ = [
     "current_sha",
     "ingest_report",
     "load_history",
-    "main_append",
-    "main_check",
 ]
 
 #: The tracked trajectory file at the repository root.
@@ -227,7 +225,7 @@ def check_regressions(history: Sequence[TrajectoryPoint],
 
 
 # ---------------------------------------------------------------------------
-# CLI entry points (wrapped by scripts/ and by `python -m repro obs`)
+# CLI (python -m repro obs append / check)
 
 
 def _load_report(json_path: str) -> Dict[str, object]:
@@ -235,13 +233,8 @@ def _load_report(json_path: str) -> Dict[str, object]:
         return json.load(handle)
 
 
-def main_append(argv: Optional[Sequence[str]] = None) -> int:
-    """``bench_trajectory.py``: append one snapshot to the history."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        description="Append a pytest-benchmark JSON snapshot to the "
-                    "committed perf trajectory (BENCH_history.jsonl).")
+def register_append_cli(parser) -> None:
+    """``python -m repro obs append``: one snapshot onto the history."""
     parser.add_argument("json_path", help="pytest-benchmark JSON file "
                                           "(the BENCH_ci.json artifact)")
     parser.add_argument("--history", default=DEFAULT_HISTORY, metavar="FILE",
@@ -250,8 +243,10 @@ def main_append(argv: Optional[Sequence[str]] = None) -> int:
                         help="commit id to record (default: git HEAD)")
     parser.add_argument("--date", default=None, metavar="YYYY-MM-DD",
                         help="run date to record (default: today, UTC)")
-    args = parser.parse_args(argv)
+    parser.set_defaults(func=_append_cmd)
 
+
+def _append_cmd(args) -> int:
     points = ingest_report(_load_report(args.json_path),
                            sha=args.sha, date=args.date)
     if not points:
@@ -264,15 +259,12 @@ def main_append(argv: Optional[Sequence[str]] = None) -> int:
     return 0
 
 
-def main_check(argv: Optional[Sequence[str]] = None) -> int:
-    """``check_bench_regression.py``: the CI gate."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        description="Fail when any benchmark in a pytest-benchmark JSON "
-                    "snapshot regresses more than the threshold against "
-                    "its trailing-median baseline in the committed "
-                    "trajectory.")
+def register_check_cli(parser) -> None:
+    """``python -m repro obs check``: the CI regression gate."""
+    parser.description = (
+        "Fail when any benchmark in a pytest-benchmark JSON snapshot "
+        "regresses more than the threshold against its trailing-median "
+        "baseline in the committed trajectory.")
     parser.add_argument("json_path", help="pytest-benchmark JSON file")
     parser.add_argument("--history", default=DEFAULT_HISTORY, metavar="FILE",
                         help=f"trajectory file (default: {DEFAULT_HISTORY})")
@@ -280,7 +272,7 @@ def main_check(argv: Optional[Sequence[str]] = None) -> int:
                         metavar="FRAC",
                         help="tolerated slowdown fraction (default: "
                              f"{DEFAULT_THRESHOLD:g} = "
-                             f"{DEFAULT_THRESHOLD:.0%})")
+                             f"{DEFAULT_THRESHOLD:.0%}%)")  # %% for argparse
     parser.add_argument("--trailing", type=int, default=DEFAULT_TRAILING,
                         metavar="N",
                         help="baseline = median of the last N history "
@@ -289,8 +281,10 @@ def main_check(argv: Optional[Sequence[str]] = None) -> int:
                         metavar="BENCHMARK_ID",
                         help="waive a named benchmark's regression (a "
                              "deliberate recalibration; repeatable)")
-    args = parser.parse_args(argv)
+    parser.set_defaults(func=_check_cmd)
 
+
+def _check_cmd(args) -> int:
     history = load_history(args.history)
     points = ingest_report(_load_report(args.json_path))
     regressions, unbaselined = check_regressions(

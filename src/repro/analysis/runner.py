@@ -25,9 +25,7 @@ Usage, mirroring ``examples/quickstart.py``:
     print(result.series("energy").argmin())
 
 Results are reassembled in point order, so a parallel run is bit-identical
-to the serial fallback for the same plan and seed.  ``python -m
-repro.analysis.runner --selftest`` smoke-tests exactly that equivalence
-(plus the persistent-cache round trip).
+to the serial fallback for the same plan and seed.
 
 Quantities that can evaluate a whole shard as numpy arrays can opt into
 the *batched* protocol (:func:`batched` / :class:`BatchedQuantity`): when
@@ -1054,7 +1052,9 @@ class Executor:
 
 
 # ---------------------------------------------------------------------------
-# Self-test entry point (python -m repro.analysis.runner --selftest)
+# Demo quantities: importable by reference, so pickled jobs and served plans
+# that name them (repro.analysis.serve:demo_plan, the distrib demo job)
+# resolve in any worker process.
 
 
 def _selftest_delay(vdd: float) -> float:
@@ -1071,171 +1071,7 @@ def _selftest_energy(vdd: float) -> float:
     return GateModel(technology=get_technology("cmos90")).transition_energy(vdd)
 
 
-def _selftest_grid_energy(vdd: float, temperature_k: float) -> float:
-    from repro.models.gate import GateModel
-    from repro.models.technology import get_technology
-
-    base = get_technology("cmos90")
-    warm = _SELFTEST_CACHE.scaled(base, temperature_k=temperature_k)
-    return GateModel(technology=warm).transition_energy(vdd)
-
-
-def _selftest_mc_delay(technology: Technology) -> float:
-    from repro.models.gate import GateModel
-
-    return GateModel(technology=technology).delay(0.4)
-
-
-def _selftest_batch_delay(vdds: np.ndarray) -> np.ndarray:
-    from repro.models.batch import gate_delay
-    from repro.models.technology import get_technology
-
-    return gate_delay(TechnologyBatch.of(get_technology("cmos90")), vdds)
-
-
 def _selftest_batch_mc_delay(batch: TechnologyBatch) -> np.ndarray:
     from repro.models.batch import gate_delay
 
     return gate_delay(batch, 0.4)
-
-
-_selftest_batched_delay = batched(_selftest_batch_delay)
-_selftest_batched_mc = batched(_selftest_batch_mc_delay)
-
-
-_SELFTEST_CACHE = TechnologyCache()
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI used by CI to smoke-test the pool and the persistent cache
-    without the benchmark suite."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.analysis.runner",
-        description="Smoke-test the parallel experiment engine.")
-    parser.add_argument("--selftest", action="store_true",
-                        help="run the serial-vs-parallel equivalence checks")
-    parser.add_argument("--workers", type=int, default=2,
-                        help="pool size for the parallel side (default: 2)")
-    args = parser.parse_args(argv)
-    if not args.selftest:
-        parser.print_help()
-        return 2
-    if args.workers < 2:
-        parser.error("--selftest needs --workers >= 2 to exercise the pool")
-
-    from repro.models.technology import get_technology
-
-    failures = 0
-
-    def check(label: str, ok: bool) -> None:
-        nonlocal failures
-        print(f"  [{'ok' if ok else 'FAIL'}] {label}")
-        if not ok:
-            failures += 1
-
-    vdds = [0.25 + 0.05 * i for i in range(12)]
-    quantities = {"delay": _selftest_delay, "energy": _selftest_energy}
-
-    print(f"runner selftest (workers={args.workers})")
-    plan = ExperimentPlan.sweep("vdd", vdds)
-    serial = Executor(workers=0).run(plan, quantities)
-    pooled = Executor(workers=args.workers).run(plan, quantities)
-    check("1-D sweep: serial == parallel (bit-identical)",
-          serial.values == pooled.values)
-    check("1-D sweep: parallel executor engaged",
-          pooled.provenance.executor.startswith("fork-pool")
-          or "fork" not in multiprocessing.get_all_start_methods())
-
-    grid = ExperimentPlan.grid("vdd", vdds[:6], "temperature_k",
-                               [250.0, 300.0, 350.0])
-    serial_g = Executor(workers=0).run(grid,
-                                       {"energy": _selftest_grid_energy})
-    pooled_g = Executor(workers=args.workers).run(
-        grid, {"energy": _selftest_grid_energy})
-    rows = serial_g.value_grid("energy")
-    check("2-D grid: shape matches the plan",
-          len(rows) == 6 and all(len(row) == 3 for row in rows))
-    check("2-D grid: serial == parallel (bit-identical)",
-          serial_g.values == pooled_g.values)
-
-    mc = ExperimentPlan.monte_carlo(24, technology=get_technology("cmos90"),
-                                    seed=7)
-    serial_mc = Executor(workers=0).run(mc, {"delay": _selftest_mc_delay})
-    pooled_mc = Executor(workers=args.workers).run(
-        mc, {"delay": _selftest_mc_delay})
-    check("Monte-Carlo: serial == parallel for a fixed seed",
-          serial_mc.values == pooled_mc.values)
-    check("Monte-Carlo: samples spread",
-          serial_mc.summary("delay").relative_spread > 0.0)
-
-    batched_sweep = Executor(workers=0).run(
-        plan, {"delay": _selftest_batched_delay})
-    point_sweep = Executor(workers=0, batch=False).run(
-        plan, {"delay": _selftest_batched_delay})
-    check("batched sweep: vectorised executor engaged",
-          batched_sweep.provenance.executor.startswith("batched["))
-    check("batched sweep: batched == per-point (bit-identical)",
-          batched_sweep.values == point_sweep.values)
-    mc_batched = Executor(workers=0).run(mc, {"delay": _selftest_batched_mc})
-    mc_point = Executor(workers=0, batch=False).run(
-        mc, {"delay": _selftest_batched_mc})
-    check("batched Monte-Carlo: batched == per-point (bit-identical)",
-          mc_batched.values == mc_point.values)
-    shard = Executor(workers=0).run_shard(mc, {"delay": _selftest_batched_mc},
-                                          5, 13)
-    check("batched Monte-Carlo: shard slice matches the full run",
-          shard["delay"] == mc_batched.values["delay"][5:13])
-    mixed = Executor(workers=0).run(
-        plan, {"delay": _selftest_batched_delay,
-               "energy": _selftest_energy})
-    check("mixed quantity set falls back to per-point",
-          mixed.provenance.executor == "serial"
-          and mixed.values["energy"] == serial.values["energy"])
-
-    for record in (pooled.provenance, pooled_g.provenance,
-                   pooled_mc.provenance):
-        check(f"provenance recorded ({record.kind})",
-              record.points > 0 and record.wall_time_s >= 0.0)
-
-    # Persistent cache round trip: a second executor over the same store
-    # must serve the identical values without evaluating a point, and a
-    # read-only store must never create a file.
-    import tempfile
-
-    with tempfile.TemporaryDirectory() as tmp:
-        first = Executor(persistent=ResultCache(root=tmp, mode="rw")).run(
-            plan, quantities)
-        second = Executor(persistent=ResultCache(root=tmp, mode="rw")).run(
-            plan, quantities)
-        check("persistent cache: first run computes",
-              first.provenance.persistent_hits == 0
-              and first.provenance.persistent_misses == len(vdds))
-        check("persistent cache: second run hits every point",
-              second.provenance.executor == "persistent-cache"
-              and second.provenance.persistent_hits == len(vdds))
-        check("persistent cache: round trip is bit-identical",
-              second.values == first.values == serial.values)
-        readonly = ResultCache(root=tmp, mode="ro")
-        ro_result = Executor(persistent=readonly).run(
-            ExperimentPlan.sweep("vdd", vdds[:3]), quantities)
-        check("persistent cache: ro mode computes a miss without writing",
-              ro_result.provenance.persistent_hits == 0
-              and readonly.writes == 0
-              and ro_result.values["delay"] == serial.values["delay"][:3])
-
-    print("selftest:", "PASS" if failures == 0 else f"{failures} FAILURES")
-    return 0 if failures == 0 else 1
-
-
-if __name__ == "__main__":
-    import sys
-
-    # Under ``python -m`` this file executes as ``__main__`` while the
-    # package import created a second copy as ``repro.analysis.runner``;
-    # dispatch to that canonical copy so the pool payload and the worker
-    # function live in one module.
-    from repro.analysis.runner import main as _canonical_main
-
-    sys.exit(_canonical_main())

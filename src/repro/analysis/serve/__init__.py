@@ -36,18 +36,11 @@ POSTed; campaign references (``{"campaign": "paper_space", "smoke":
 true}``) expand server-side into one plan per planned run.  Results are
 bit-identical to a direct ``Session.run`` of the same plan — the
 service adds ordering and admission, never arithmetic.
-
-``python -m repro serve --selftest`` (also chained by ``python -m repro
-selftest``) pins the subsystem's three invariants end to end over a real
-socket: a 50-plan burst tenant cannot starve a steady tenant under the
-VTC scheduler, the overload gate refuses new admissions past the
-watermark while every admitted plan completes, and every served result
-is byte-identical to the direct session run.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Tuple
 
 from repro.analysis.runner import ExperimentPlan
 
@@ -96,7 +89,6 @@ __all__ = [
     "VTCScheduler",
     "demo_plan",
     "estimate_cost",
-    "main",
     "make_scheduler",
     "smoke_mc_plan",
     "steady_plan",
@@ -104,8 +96,8 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Wire-format demo workloads (MODULE:FACTORY specs used by the selftest,
-# the CI smoke script and the docs; all pure, all fast).
+# Wire-format demo workloads (MODULE:FACTORY specs used by the tests, the
+# CI smoke script and the docs; all pure, all fast).
 
 
 def demo_plan() -> Tuple[ExperimentPlan, Dict]:
@@ -148,165 +140,3 @@ def _smoke_mc_delay(technology) -> float:
     from repro.models.gate import GateModel
 
     return GateModel(technology=technology).delay(0.4)
-
-
-# ---------------------------------------------------------------------------
-# Selftest (python -m repro serve --selftest; chained by repro selftest)
-
-
-def _hermetic_config():
-    from repro.analysis.session import RunConfig
-
-    return RunConfig.resolve(environ={}, config_file=False)
-
-
-def _selftest() -> int:  # noqa: C901 - one linear script of checks
-    """Fairness, overload and byte-identity over a real HTTP socket."""
-    from repro.analysis.session import Session
-
-    failures = 0
-
-    def check(label: str, ok: bool) -> None:
-        nonlocal failures
-        print(f"  [{'ok' if ok else 'FAIL'}] {label}")
-        if not ok:
-            failures += 1
-
-    print("serve selftest")
-
-    # -- scheduler contracts (no sockets) ---------------------------------
-    def ticket(tenant: str, n: int, cost: float = 1.0) -> PlanTicket:
-        plan, quantities = steady_plan()
-        return PlanTicket(plan_id=f"{tenant}{n}", tenant=tenant, plan=plan,
-                          quantities=quantities, cost=cost)
-
-    fifo = FIFOScheduler()
-    for i in range(4):
-        fifo.enqueue(ticket("a", i))
-    for i in range(2):
-        fifo.enqueue(ticket("b", i))
-    fifo_order = [fifo.pop().plan_id for _ in range(6)]
-    check("FIFO baseline serves strictly in arrival order",
-          fifo_order == ["a0", "a1", "a2", "a3", "b0", "b1"])
-
-    vtc = VTCScheduler()
-    for i in range(4):
-        vtc.enqueue(ticket("a", i))
-    for i in range(2):
-        vtc.enqueue(ticket("b", i))
-    vtc_order = [vtc.pop().plan_id for _ in range(6)]
-    check("VTC interleaves a burst with a steady tenant",
-          vtc_order == ["a0", "b0", "a1", "b1", "a2", "a3"])
-    check("VTC counters charge dispatched cost per tenant",
-          vtc.counters == {"a": 4.0, "b": 2.0})
-
-    lifted = VTCScheduler()
-    for i in range(5):
-        lifted.enqueue(ticket("a", i, cost=10.0))
-    lifted.pop(), lifted.pop()  # a's counter: 20
-    lifted.enqueue(ticket("b", 0, cost=10.0))
-    check("a tenant returning from idle is lifted to the backlog floor",
-          lifted.counters["b"] == 20.0
-          and [lifted.pop().plan_id for _ in range(2)] == ["a2", "b0"])
-
-    # -- admission gate ----------------------------------------------------
-    gate = AdmissionGate(max_depth=4, max_cost=100.0)
-    check("gate admits under both watermarks",
-          gate.decide(2, 20.0, depth=0, queued_cost=0.0).admitted)
-    refused_depth = gate.decide(3, 3.0, depth=2, queued_cost=10.0)
-    refused_cost = gate.decide(1, 95.0, depth=0, queued_cost=10.0)
-    check("gate refuses past either watermark, with a positive retry hint",
-          not refused_depth.admitted and not refused_cost.admitted
-          and refused_depth.retry_after_s > 0
-          and "watermark" in refused_depth.reason)
-
-    # -- fairness end to end over a real socket ----------------------------
-    config = _hermetic_config()
-    burst_n, steady_n = 50, 8
-    service = ExperimentService(config, scheduler="vtc", dispatchers=1,
-                                max_queue_depth=4 * (burst_n + steady_n),
-                                max_queued_cost=None, start=False)
-    with service, ExperimentServer(service, port=0) as server:
-        burst = ServiceClient(server.url)
-        steady = ServiceClient(server.url)
-        burst_ids = [burst.submit_plan("repro.analysis.serve:demo_plan",
-                                       tenant="burst")["id"]
-                     for _ in range(burst_n)]
-        steady_ids = [steady.submit_plan("repro.analysis.serve:steady_plan",
-                                         tenant="steady")["id"]
-                      for _ in range(steady_n)]
-        check("submissions queue while the service is not started",
-              service.status()["plans"]["queued"] == burst_n + steady_n)
-        service.start()
-        records = {pid: steady.wait(pid, timeout_s=120)
-                   for pid in burst_ids + steady_ids}
-        check("every admitted plan completes",
-              all(record["state"] == "done"
-                  for record in records.values()))
-        steady_seqs = [records[pid]["completed_seq"] for pid in steady_ids]
-        check("steady tenant interleaves by virtual time (no starvation)",
-              all(seq <= 3 * (index + 1) + 1
-                  for index, seq in enumerate(steady_seqs))
-              and max(steady_seqs) < burst_n)
-        status = steady.status()
-        virtual = status["scheduler"]["virtual_time"]
-        check("per-tenant virtual-time counters surface in /v1/status",
-              virtual.get("burst", 0) > virtual.get("steady", 0) > 0)
-
-        with Session(config) as direct:
-            expect_burst = direct.run(*demo_plan()).values
-            expect_steady = direct.run(*steady_plan()).values
-        check("served results are byte-identical to direct Session.run",
-              all(burst.result(pid)["values"] == expect_burst
-                  for pid in burst_ids[:3] + burst_ids[-3:])
-              and all(steady.result(pid)["values"] == expect_steady
-                      for pid in steady_ids))
-
-    # -- overload: refuse new admissions, finish everything admitted -------
-    service = ExperimentService(config, scheduler="vtc", dispatchers=1,
-                                max_queue_depth=6, start=False)
-    with service, ExperimentServer(service, port=0) as server:
-        client = ServiceClient(server.url)
-        admitted = [client.submit_plan("repro.analysis.serve:steady_plan",
-                                       tenant="burst")["id"]
-                    for _ in range(6)]
-        overloaded = False
-        retry_hint = 0.0
-        try:
-            client.submit_plan("repro.analysis.serve:steady_plan",
-                               tenant="burst")
-        except ServiceOverloaded as exc:
-            overloaded = True
-            retry_hint = exc.retry_after_s
-        check("past the watermark, new admissions get 429 + retry hint",
-              overloaded and retry_hint > 0)
-        service.start()
-        finished = [client.wait(pid, timeout_s=60) for pid in admitted]
-        check("every in-flight plan completes despite the overload",
-              all(record["state"] == "done" for record in finished))
-        reopened = client.submit_plan("repro.analysis.serve:steady_plan",
-                                      tenant="burst")
-        check("the gate reopens once the queue drains",
-              client.wait(reopened["id"], timeout_s=60)["state"] == "done")
-        check("admission counters record the refusal",
-              client.status()["admission"]["rejected"] == 1)
-
-    print("selftest:", "PASS" if failures == 0 else f"{failures} FAILURES")
-    return 0 if failures == 0 else 1
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI shim mirroring the sibling analysis modules."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.analysis.serve",
-        description="Smoke-test the multi-tenant experiment service "
-                    "(the full CLI lives at python -m repro serve).")
-    parser.add_argument("--selftest", action="store_true",
-                        help="run the fairness/overload/identity checks")
-    args = parser.parse_args(argv)
-    if not args.selftest:
-        parser.print_help()
-        return 2
-    return _selftest()

@@ -61,7 +61,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
     server_version = "ReproExperimentService/1.0"
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
-        pass  # selftests and CI logs stay readable
+        pass  # test and CI logs stay readable
 
     @property
     def _service(self) -> ExperimentService:

@@ -16,7 +16,7 @@ interface (:class:`PlanScheduler`) with two implementations:
   with the *smallest* counter.  A burst tenant's counter races ahead
   after a few dispatches, so a steady tenant's plans interleave instead
   of queuing behind the burst — the no-starvation invariant the service
-  selftest pins.
+  tests pin.
 
   A tenant arriving with an empty queue has its counter *lifted* to the
   smallest counter among currently backlogged tenants (never lowered):

@@ -149,7 +149,7 @@ class ExperimentService:
     start:
         ``False`` leaves the dispatchers unspawned until :meth:`start`
         — submissions queue but nothing executes, which is how the
-        selftests stage deterministic multi-tenant backlogs.
+        tests stage deterministic multi-tenant backlogs.
     """
 
     def __init__(self, config: Optional[RunConfig] = None, *,
@@ -173,7 +173,9 @@ class ExperimentService:
         self.gate = AdmissionGate(max_depth=max_queue_depth,
                                   max_cost=max_queued_cost)
         self.dispatchers = dispatchers
-        self.started_at = time.time()
+        # Uptime is a duration: monotonic, so a wall-clock step cannot
+        # make it jump or go negative (record stamps stay wall time).
+        self._started = time.monotonic()
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
         self._records: Dict[str, PlanRecord] = {}
@@ -443,7 +445,7 @@ class ExperimentService:
             scheduler = self.scheduler.describe()
         cache = self.session.cache
         payload: Dict[str, object] = {
-            "uptime_s": time.time() - self.started_at,
+            "uptime_s": time.monotonic() - self._started,
             "dispatchers": self.dispatchers,
             "scheduler": scheduler,
             "admission": self.gate.describe(),

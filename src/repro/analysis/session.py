@@ -69,10 +69,7 @@ return bit-identical results; only the provenance's cache *counters* are
 approximate while runs overlap, because they are deltas against the one
 shared technology cache.
 
-``python -m repro.analysis.session --selftest`` checks the resolution
-precedence and the run/submit bit-identity; the consolidated CLI
-(``python -m repro``) builds on this module for its ``run`` and
-``selftest`` subcommands.
+The command line (``python -m repro run``) builds on this module.
 """
 
 from __future__ import annotations
@@ -82,7 +79,7 @@ import os
 import threading
 from dataclasses import dataclass, field, fields as dataclass_fields, replace
 from pathlib import Path
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.analysis.cache import CACHE_DIR_ENV, CACHE_MODES, ResultCache
 from repro.analysis.runner import (
@@ -90,10 +87,6 @@ from repro.analysis.runner import (
     ExperimentPlan,
     ExperimentResult,
     TechnologyCache,
-    # The runner selftest's own quantities, so this module's "matches
-    # the serial executor bit for bit" checks pin the same physics.
-    _selftest_delay,
-    _selftest_energy,
 )
 from repro.errors import ConfigurationError
 
@@ -302,7 +295,7 @@ class RunConfig:
         An *explicitly* named file (argument or ``$REPRO_CONFIG``) must
         exist; the implicit ``./repro.toml`` is optional;
         ``config_file=False`` disables the file tier entirely (hermetic
-        resolution for selftests and tests).
+        resolution for tests).
         """
         if config_file is False:
             return {}, None
@@ -660,133 +653,3 @@ def reset_default_session() -> None:
         stale, _DEFAULT_SESSION = _DEFAULT_SESSION, None
     if stale is not None:
         stale.close()
-
-
-# ---------------------------------------------------------------------------
-# Self-test entry point (python -m repro.analysis.session --selftest)
-
-
-def _selftest(workers: int = 2) -> int:
-    """Resolution-precedence and run/submit bit-identity checks."""
-    import tempfile
-
-    failures = 0
-
-    def check(label: str, ok: bool) -> None:
-        nonlocal failures
-        print(f"  [{'ok' if ok else 'FAIL'}] {label}")
-        if not ok:
-            failures += 1
-
-    print("session selftest")
-
-    # -- RunConfig resolution ---------------------------------------------
-    empty: Dict[str, str] = {}
-
-    def hermetic(environ, **kw):
-        # config_file=False: a repro.toml in the invoking directory must
-        # not fail (or reshape) the selftest's default-resolution checks.
-        return RunConfig.resolve(environ=environ, config_file=False, **kw)
-
-    base = hermetic(empty)
-    check("defaults resolve (serial, cache off, no fleet)",
-          base.workers == 0 and base.cache_mode == "off"
-          and base.cache_root is None and base.distrib_root is None
-          and all(src == "default" for src in base.sources.values()))
-    env = {"REPRO_WORKERS": "3", "REPRO_CACHE_MODE": "rw"}
-    from_env = hermetic(env)
-    check("environment beats defaults",
-          from_env.workers == 3 and from_env.cache_mode == "rw"
-          and from_env.sources["workers"] == "env REPRO_WORKERS")
-    overridden = hermetic(env, workers=1, cache_mode="off")
-    check("kwargs beat environment",
-          overridden.workers == 1 and overridden.cache_mode == "off")
-    if tomllib is not None:
-        with tempfile.TemporaryDirectory() as tmp:
-            config_path = Path(tmp) / "repro.toml"
-            config_path.write_text(
-                '[run]\nworkers = "auto"\nshard_size = 9\n')
-            from_file = RunConfig.resolve(environ=empty,
-                                          config_file=str(config_path))
-            check("repro.toml beats defaults ('auto' workers parse)",
-                  from_file.workers == RunConfig.available_cpus()
-                  and from_file.shard_size == 9
-                  and from_file.sources["shard_size"].startswith("file "))
-            file_vs_env = RunConfig.resolve(environ=env,
-                                            config_file=str(config_path))
-            check("environment beats repro.toml", file_vs_env.workers == 3)
-    check("parse_workers('auto') is the available-cpu count",
-          RunConfig.parse_workers("auto") == RunConfig.available_cpus())
-    check("parse_root maps the benchmark spellings",
-          RunConfig.parse_root("fs") == ".repro_cache"
-          and RunConfig.parse_root("") is None
-          and RunConfig.parse_root("obj:http://h:1/b") == "http://h:1/b")
-    try:
-        RunConfig.parse_root("obj:not-a-url")
-    except ConfigurationError:
-        check("malformed obj: spec is rejected", True)
-    else:
-        check("malformed obj: spec is rejected", False)
-
-    # -- Session bit-identity ---------------------------------------------
-    plan = ExperimentPlan.sweep("vdd", [0.25 + 0.05 * i for i in range(10)])
-    quantities = {"delay": _selftest_delay, "energy": _selftest_energy}
-    serial = Session(hermetic(empty)).run(plan, quantities)
-    with Session(hermetic(empty, workers=workers)) as pooled:
-        direct = pooled.run(plan, quantities)
-        handles = [pooled.submit(plan, quantities) for _ in range(3)]
-        submitted = pooled.gather(handles)
-    check("session.run matches the serial executor bit for bit",
-          direct.values == serial.values)
-    check("3 concurrent submit() runs all match bit for bit",
-          all(result.values == serial.values for result in submitted))
-    check("submitted provenance is coherent",
-          all(result.provenance.kind == "sweep"
-              and result.provenance.points == plan.point_count
-              and result.provenance.quantities == ("delay", "energy")
-              for result in submitted))
-
-    # -- persistent cache through the facade ------------------------------
-    with tempfile.TemporaryDirectory() as tmp:
-        with Session(hermetic(empty, cache_mode="rw",
-                              cache_root=tmp)) as caching:
-            first = caching.run(plan, quantities)
-            second = caching.run(plan, quantities)
-        check("session-owned persistent cache round-trips",
-              first.provenance.persistent_misses == plan.point_count
-              and second.provenance.executor == "persistent-cache"
-              and second.values == serial.values)
-
-    print("selftest:", "PASS" if failures == 0 else f"{failures} FAILURES")
-    return 0 if failures == 0 else 1
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI shim mirroring the sibling analysis modules."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.analysis.session",
-        description="Smoke-test the Session facade and RunConfig "
-                    "resolution chain.")
-    parser.add_argument("--selftest", action="store_true",
-                        help="run the resolution + bit-identity checks")
-    parser.add_argument("--workers", type=int, default=2,
-                        help="pool size for the parallel side (default: 2)")
-    args = parser.parse_args(argv)
-    if not args.selftest:
-        parser.print_help()
-        return 2
-    return _selftest(workers=args.workers)
-
-
-if __name__ == "__main__":
-    import sys
-
-    # Under ``python -m`` this file executes as ``__main__`` while the
-    # package import created a second copy as ``repro.analysis.session``;
-    # dispatch to the canonical copy so the classes the selftest builds
-    # are the ones the rest of the package uses.
-    from repro.analysis.session import main as _canonical_main
-
-    sys.exit(_canonical_main())

@@ -1,89 +1,159 @@
-"""The consolidated command line: ``python -m repro`` (or just ``repro``).
+"""The command line: ``python -m repro`` (or just ``repro``).
 
-One front door over the four module CLIs that grew with the execution
-stack::
+One argparse tree over the execution stack::
 
     python -m repro run --plan MODULE:FACTORY [...]   # execute a plan
-    python -m repro cache [...]                       # = repro.analysis.cache
-    python -m repro distrib [...]                     # = repro.analysis.distrib
-    python -m repro serve start [...]                 # experiment service
-    python -m repro serve {submit,status,wait} [...]  # its tenant client
-    python -m repro serve objstore [...]              # = objstore --serve
-    python -m repro selftest [--backend {fs,obj}] [--only LIST]
-    python -m repro campaign {run,list,fuzz,repro}    # = analysis.campaign
-    python -m repro obs {append,check,dashboard}      # = analysis.obs
+    python -m repro cache {--stats,--clear} [...]     # persistent cache
+    python -m repro distrib {worker,submit,status,run} [...]
+    python -m repro serve {start,submit,status,wait} [...]  # experiment service
+    python -m repro serve objstore [...]              # object-store server
+    python -m repro campaign {run,list,fuzz,repro} [...]
+    python -m repro obs {append,check,dashboard} [...]
     python -m repro check [PATHS] [--json] [--rule ID] # invariant linter
+
+Every subcommand registers its own arguments and a
+``set_defaults(func=...)`` handler; :func:`main` parses once and
+dispatches ``args.func(args)``.  Registration is lazy: a subcommand's
+registrar runs only when argparse selects that subcommand, so
+``repro distrib worker`` imports the distrib stack and nothing of the
+service or the dashboard.
 
 ``run`` resolves execution policy through the
 :class:`~repro.analysis.session.RunConfig` chain (flags > ``REPRO_*``
 environment variables > ``repro.toml`` > defaults) and executes through a
 :class:`~repro.analysis.session.Session`, so the command line, the
 benchmark harness and library callers all share one wiring path.
-
-``serve`` fronts the multi-tenant experiment service
-(:mod:`repro.analysis.serve`): ``start`` runs it in the foreground,
-``submit``/``status``/``wait`` are its tenant client, and ``objstore``
-keeps the S3-style object-store server under the same roof.  A bare
-``serve [--host H] [--port P]`` — the spelling from before the
-experiment service took the name — still starts the object store, as a
-deprecated alias with a one-line warning.
-
-``cache`` and ``distrib`` forward their arguments verbatim to the module
-mains, and ``serve``/``selftest`` call the same functions the module
-entry points do — the legacy ``python -m repro.analysis.{runner,cache,
-distrib,objstore}`` invocations therefore keep working unchanged, as thin
-aliases of this CLI.  ``pip install -e .`` additionally installs the
-``repro`` console script pointing here.
+``pip install -e .`` additionally installs the ``repro`` console script
+pointing here.
 """
 
 from __future__ import annotations
 
+import argparse
+import importlib
 import json
 import sys
 from typing import Optional, Sequence
 
-__all__ = ["main"]
+__all__ = ["build_parser", "main"]
 
-#: selftest suites in execution order (fast first).  ``objstore`` is the
-#: protocol check of the object-store backend; with ``--backend fs`` it
-#: is skipped unless explicitly requested through ``--only``.
-SELFTEST_SUITES = ("lint", "session", "obs", "runner", "objstore", "cache",
-                   "distrib", "serve")
-
-
-def _forward_cache(rest: Sequence[str]) -> int:
-    from repro.analysis.cache import main as cache_main
-
-    return cache_main(list(rest))
-
-
-def _forward_distrib(rest: Sequence[str]) -> int:
-    from repro.analysis.distrib import main as distrib_main
-
-    return distrib_main(list(rest))
-
-
-def _forward_campaign(rest: Sequence[str]) -> int:
-    from repro.analysis.campaign.cli import main as campaign_main
-
-    return campaign_main(list(rest))
+#: (name, help, "module:function" registering the subcommand's arguments)
+_COMMANDS = (
+    ("run", "execute a plan through a Session", "repro.cli:_register_run"),
+    ("cache", "inspect or clear the persistent result cache",
+     "repro.analysis.cache:register_cli"),
+    ("distrib", "fleet worker/submit/status/run over a shared root",
+     "repro.analysis.distrib:register_cli"),
+    ("serve", "experiment service (start/submit/status/wait) and the "
+              "object-store server (objstore)", "repro.cli:_register_serve"),
+    ("campaign", "scenario campaigns and the invariant fuzzer",
+     "repro.analysis.campaign.cli:register_cli"),
+    ("obs", "perf-trajectory append/check and the live fleet dashboard",
+     "repro.analysis.obs:register_cli"),
+    ("check", "project-invariant static analysis over src/ — determinism, "
+              "store layering, clock/lock discipline, batched cache keys",
+     "repro.analysis.lint:register_cli"),
+)
 
 
-def _forward_obs(rest: Sequence[str]) -> int:
-    from repro.analysis.obs import main as obs_main
+def _usage(parser: argparse.ArgumentParser):
+    """The handler of a command group invoked without a subcommand."""
+    def show(args) -> int:
+        parser.print_help()
+        return 2
 
-    return obs_main(list(rest))
-
-
-def _forward_check(rest: Sequence[str]) -> int:
-    from repro.analysis.lint import main as lint_main
-
-    return lint_main(list(rest))
+    return show
 
 
-_FORWARDED = {"cache": _forward_cache, "distrib": _forward_distrib,
-              "campaign": _forward_campaign, "obs": _forward_obs,
-              "check": _forward_check}
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` whose arguments are registered on first use.
+
+    *register* names a ``"module:function"`` that receives the parser and
+    adds its arguments (and its ``func`` default); it runs when argparse
+    first hands this parser arguments, i.e. when its subcommand is
+    selected.  Until then the parser is just a name and a help line.
+    """
+
+    def __init__(self, *args, register: Optional[str] = None,
+                 **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._register = register
+
+    def ensure_registered(self) -> "_Parser":
+        """Run the pending registrar, once; returns the parser."""
+        if self._register is not None:
+            module, _, name = self._register.partition(":")
+            self._register = None
+            self.set_defaults(func=_usage(self))
+            getattr(importlib.import_module(module), name)(self)
+        return self
+
+    def parse_known_args(self, args=None, namespace=None):
+        self.ensure_registered()
+        return super().parse_known_args(args, namespace)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The whole command tree (subcommand arguments still unregistered)."""
+    parser = argparse.ArgumentParser(
+        prog="python -m repro",
+        description="Run, cache, distribute, serve and check the paper's "
+                    "experiment plans through one entry point.",
+        epilog="Execution policy for 'run' resolves as: flags > REPRO_* "
+               "environment variables > repro.toml ([run] table) > "
+               "defaults.")
+    parser.set_defaults(func=_usage(parser))
+    commands = parser.add_subparsers(metavar="COMMAND", parser_class=_Parser)
+    for name, help_text, register in _COMMANDS:
+        commands.add_parser(name, help=help_text, description=help_text,
+                            register=register)
+    return parser
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Dispatch one command-line invocation; returns the exit code."""
+    args = build_parser().parse_args(argv)
+    from repro.errors import ConfigurationError
+
+    try:
+        return args.func(args)
+    except ConfigurationError as exc:
+        # Misconfiguration is a user error: one clear line, no traceback.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+# ---------------------------------------------------------------------------
+# run
+
+
+def _register_run(parser: argparse.ArgumentParser) -> None:
+    parser.description = (
+        "Execute MODULE:FACTORY — a callable returning (plan, quantities) "
+        "— through a Session wired from the resolved RunConfig.")
+    parser.add_argument("--plan", required=True,
+                        help="MODULE:CALLABLE returning (plan, quantities)"
+                             " — e.g. repro.analysis.distrib:selftest_plan")
+    parser.add_argument("--workers", default=None, metavar="N|auto",
+                        help="pool size (auto = cpu count; default: "
+                             "resolved)")
+    parser.add_argument("--cache-mode", default=None,
+                        choices=("off", "rw", "ro"),
+                        help="persistent-cache mode (default: resolved)")
+    parser.add_argument("--cache-root", default=None, metavar="SPEC",
+                        help="cache root: a directory, a bucket URL, or "
+                             "fs / obj:URL (default: resolved)")
+    parser.add_argument("--distrib-root", default=None, metavar="ROOT",
+                        help="shared fleet root — directory or bucket URL "
+                             "(default: resolved; none = local execution)")
+    parser.add_argument("--shard-size", default=None, metavar="N",
+                        help="points per distrib shard (default: resolved)")
+    parser.add_argument("--config", default=None, metavar="FILE",
+                        help="repro.toml to resolve from (default: "
+                             "$REPRO_CONFIG or ./repro.toml)")
+    parser.add_argument("--json", action="store_true",
+                        help="emit config, values and provenance as JSON")
+    parser.set_defaults(func=_cmd_run)
 
 
 def _cmd_run(args) -> int:
@@ -125,132 +195,88 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_serve(rest: Sequence[str]) -> int:
-    """Dispatch ``serve`` — the experiment service and its clients.
-
-    Does its own parsing (like the forwarded subcommands) so the legacy
-    spelling ``serve [--host H] [--port P]`` can stay alive: anything
-    that is not a known subcommand or ``--selftest`` is the pre-service
-    object-store invocation, forwarded with a deprecation warning.
-    """
-    rest = list(rest)
-    if rest and rest[0] == "objstore":
-        from repro.analysis.objstore import main as objstore_main
-
-        return objstore_main(["--serve"] + rest[1:])
-    if rest and rest[0] == "--selftest":
-        from repro.analysis.serve import main as serve_main
-
-        return serve_main(rest)
-    if rest and rest[0] in ("--help", "-h"):
-        _build_serve_parser().print_help()
-        return 0
-    if not rest or rest[0] not in _SERVE_SUBCOMMANDS:
-        print("warning: bare 'repro serve' is deprecated; the name now "
-              "fronts the experiment service — use 'serve objstore' for "
-              "the object store or 'serve start' for the service",
-              file=sys.stderr)
-        from repro.analysis.objstore import main as objstore_main
-
-        return objstore_main(["--serve"] + rest)
-    args = _build_serve_parser().parse_args(rest)
-    return {"start": _serve_start, "submit": _serve_submit,
-            "status": _serve_status, "wait": _serve_wait}[args.subcommand](args)
+# ---------------------------------------------------------------------------
+# serve: the experiment service, its tenant client, the object store
 
 
-_SERVE_SUBCOMMANDS = ("start", "submit", "status", "wait", "objstore")
+def _register_serve(parser: argparse.ArgumentParser) -> None:
+    parser.description = ("The multi-tenant experiment service: start it, "
+                          "or talk to a running one as a tenant; objstore "
+                          "runs the S3-style object-store server.")
+    sub = parser.add_subparsers(metavar="SUBCOMMAND")
+    for name, help_text, register in (
+            ("start", "run the experiment service in the foreground",
+             "repro.cli:_register_serve_start"),
+            ("submit", "submit a plan or campaign to a running service",
+             "repro.cli:_register_serve_submit"),
+            ("status", "queue, tenants and admission state of a service",
+             "repro.cli:_register_serve_status"),
+            ("wait", "long-poll plans until they reach a terminal state",
+             "repro.cli:_register_serve_wait"),
+            ("objstore", "run the S3-style object-store server in the "
+                         "foreground", "repro.analysis.objstore:register_cli")):
+        sub.add_parser(name, help=help_text, description=help_text,
+                       register=register)
 
 
-def _build_serve_parser():
-    import argparse
+def _add_url(parser: argparse.ArgumentParser) -> None:
+    from repro.analysis.serve.http import DEFAULT_PORT
 
+    default_url = f"http://127.0.0.1:{DEFAULT_PORT}"
+    parser.add_argument("--url", default=default_url,
+                        help=f"service URL (default: {default_url})")
+
+
+def _client_command(command):
+    """A tenant-client handler: transport failures are one error line."""
+    def run(args) -> int:
+        from repro.analysis.serve.client import ServiceError
+
+        try:
+            return command(args)
+        except ServiceError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+
+    return run
+
+
+def _register_serve_start(parser: argparse.ArgumentParser) -> None:
     from repro.analysis.serve.http import DEFAULT_PORT
     from repro.analysis.serve.service import DEFAULT_DISPATCHERS
 
-    default_url = f"http://127.0.0.1:{DEFAULT_PORT}"
-    parser = argparse.ArgumentParser(
-        prog="python -m repro serve",
-        description="The multi-tenant experiment service: start it, or "
-                    "talk to a running one as a tenant.")
-    sub = parser.add_subparsers(dest="subcommand")
-
-    start_cmd = sub.add_parser(
-        "start", help="run the experiment service in the foreground")
-    start_cmd.add_argument("--host", default="127.0.0.1",
-                           help="bind address (default: 127.0.0.1)")
-    start_cmd.add_argument("--port", type=int, default=DEFAULT_PORT,
-                           help=f"bind port (default: {DEFAULT_PORT}; "
-                                "0 picks a free one)")
-    start_cmd.add_argument("--scheduler", choices=("vtc", "fifo"),
-                           default="vtc",
-                           help="fair-share (vtc) or arrival-order (fifo) "
-                                "dispatch (default: vtc)")
-    start_cmd.add_argument("--dispatchers", type=int,
-                           default=DEFAULT_DISPATCHERS, metavar="N",
-                           help="dispatcher threads draining the queue "
-                                f"(default: {DEFAULT_DISPATCHERS})")
-    start_cmd.add_argument("--max-queue-depth", type=int, default=64,
-                           metavar="N",
-                           help="admission watermark: queued plans "
-                                "(default: 64)")
-    start_cmd.add_argument("--max-queued-cost", type=float,
-                           default=100_000.0, metavar="C",
-                           help="admission watermark: queued quantity "
-                                "evaluations; 0 disables (default: 100000)")
-    start_cmd.add_argument("--config", default=None, metavar="FILE",
-                           help="repro.toml the owned Session resolves "
-                                "from (default: $REPRO_CONFIG or "
-                                "./repro.toml)")
-    start_cmd.add_argument("--history", default="BENCH_history.jsonl",
-                           metavar="FILE",
-                           help="bench trajectory the /v1/dashboard "
-                                "sparklines plot (default: "
-                                "BENCH_history.jsonl; missing file just "
-                                "darkens that section)")
-
-    submit_cmd = sub.add_parser(
-        "submit", help="submit a plan or campaign to a running service")
-    submit_cmd.add_argument("--url", default=default_url,
-                            help=f"service URL (default: {default_url})")
-    submit_cmd.add_argument("--plan", default=None, metavar="SPEC",
-                            help="MODULE:FACTORY returning "
-                                 "(plan, quantities) — same spec as "
-                                 "'repro run --plan'")
-    submit_cmd.add_argument("--campaign", default=None, metavar="NAME",
-                            help="bundled campaign name or TOML path; "
-                                 "expands to one plan per run")
-    submit_cmd.add_argument("--smoke", action="store_true",
-                            help="submit the campaign's smoke-trimmed form")
-    submit_cmd.add_argument("--runs", default=None, metavar="LIST",
-                            help="comma-separated campaign run labels "
-                                 "(default: all)")
-    submit_cmd.add_argument("--tenant", default=None,
-                            help="tenant the fair share charges "
-                                 "(default: anonymous)")
-    submit_cmd.add_argument("--wait", action="store_true",
-                            help="block until every submitted plan is "
-                                 "terminal")
-    submit_cmd.add_argument("--json", action="store_true",
-                            help="emit the plan records as JSON")
-
-    status_cmd = sub.add_parser(
-        "status", help="queue, tenants and admission state of a service")
-    status_cmd.add_argument("--url", default=default_url,
-                            help=f"service URL (default: {default_url})")
-    status_cmd.add_argument("--json", action="store_true",
-                            help="emit the raw /v1/status payload")
-
-    wait_cmd = sub.add_parser(
-        "wait", help="long-poll plans until they reach a terminal state")
-    wait_cmd.add_argument("plan_ids", nargs="+", metavar="PLAN_ID")
-    wait_cmd.add_argument("--url", default=default_url,
-                          help=f"service URL (default: {default_url})")
-    wait_cmd.add_argument("--timeout", type=float, default=None,
-                          metavar="S", help="give up after S seconds "
-                                            "(default: wait forever)")
-    wait_cmd.add_argument("--json", action="store_true",
-                          help="emit the terminal records as JSON")
-    return parser
+    parser.add_argument("--host", default="127.0.0.1",
+                        help="bind address (default: 127.0.0.1)")
+    parser.add_argument("--port", type=int, default=DEFAULT_PORT,
+                        help=f"bind port (default: {DEFAULT_PORT}; "
+                             "0 picks a free one)")
+    parser.add_argument("--scheduler", choices=("vtc", "fifo"),
+                        default="vtc",
+                        help="fair-share (vtc) or arrival-order (fifo) "
+                             "dispatch (default: vtc)")
+    parser.add_argument("--dispatchers", type=int,
+                        default=DEFAULT_DISPATCHERS, metavar="N",
+                        help="dispatcher threads draining the queue "
+                             f"(default: {DEFAULT_DISPATCHERS})")
+    parser.add_argument("--max-queue-depth", type=int, default=64,
+                        metavar="N",
+                        help="admission watermark: queued plans "
+                             "(default: 64)")
+    parser.add_argument("--max-queued-cost", type=float,
+                        default=100_000.0, metavar="C",
+                        help="admission watermark: queued quantity "
+                             "evaluations; 0 disables (default: 100000)")
+    parser.add_argument("--config", default=None, metavar="FILE",
+                        help="repro.toml the owned Session resolves "
+                             "from (default: $REPRO_CONFIG or "
+                             "./repro.toml)")
+    parser.add_argument("--history", default="BENCH_history.jsonl",
+                        metavar="FILE",
+                        help="bench trajectory the /v1/dashboard "
+                             "sparklines plot (default: "
+                             "BENCH_history.jsonl; missing file just "
+                             "darkens that section)")
+    parser.set_defaults(func=_serve_start)
 
 
 def _serve_start(args) -> int:
@@ -277,6 +303,30 @@ def _serve_start(args) -> int:
         server.stop()
         service.close()
     return 0
+
+
+def _register_serve_submit(parser: argparse.ArgumentParser) -> None:
+    _add_url(parser)
+    parser.add_argument("--plan", default=None, metavar="SPEC",
+                        help="MODULE:FACTORY returning (plan, quantities) "
+                             "— same spec as 'repro run --plan'")
+    parser.add_argument("--campaign", default=None, metavar="NAME",
+                        help="bundled campaign name or TOML path; "
+                             "expands to one plan per run")
+    parser.add_argument("--smoke", action="store_true",
+                        help="submit the campaign's smoke-trimmed form")
+    parser.add_argument("--runs", default=None, metavar="LIST",
+                        help="comma-separated campaign run labels "
+                             "(default: all)")
+    parser.add_argument("--tenant", default=None,
+                        help="tenant the fair share charges "
+                             "(default: anonymous)")
+    parser.add_argument("--wait", action="store_true",
+                        help="block until every submitted plan is "
+                             "terminal")
+    parser.add_argument("--json", action="store_true",
+                        help="emit the plan records as JSON")
+    parser.set_defaults(func=_client_command(_serve_submit))
 
 
 def _serve_records(records, as_json: bool) -> int:
@@ -323,6 +373,13 @@ def _serve_submit(args) -> int:
     return _serve_records(records, args.json)
 
 
+def _register_serve_status(parser: argparse.ArgumentParser) -> None:
+    _add_url(parser)
+    parser.add_argument("--json", action="store_true",
+                        help="emit the raw /v1/status payload")
+    parser.set_defaults(func=_client_command(_serve_status))
+
+
 def _serve_status(args) -> int:
     from repro.analysis.serve.client import ServiceClient
 
@@ -353,6 +410,17 @@ def _serve_status(args) -> int:
     return 0
 
 
+def _register_serve_wait(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("plan_ids", nargs="+", metavar="PLAN_ID")
+    _add_url(parser)
+    parser.add_argument("--timeout", type=float, default=None,
+                        metavar="S", help="give up after S seconds "
+                                          "(default: wait forever)")
+    parser.add_argument("--json", action="store_true",
+                        help="emit the terminal records as JSON")
+    parser.set_defaults(func=_client_command(_serve_wait))
+
+
 def _serve_wait(args) -> int:
     from repro.analysis.serve.client import ServiceClient
 
@@ -360,180 +428,3 @@ def _serve_wait(args) -> int:
     records = [client.wait(plan_id, timeout_s=args.timeout)
                for plan_id in args.plan_ids]
     return _serve_records(records, args.json)
-
-
-def _cmd_selftest(args) -> int:
-    if args.only:
-        requested = [name.strip() for name in args.only.split(",")
-                     if name.strip()]
-        unknown = sorted(set(requested) - set(SELFTEST_SUITES))
-        if unknown:
-            print(f"unknown selftest suite(s): {', '.join(unknown)}; "
-                  f"choose from {', '.join(SELFTEST_SUITES)}")
-            return 2
-        suites = [name for name in SELFTEST_SUITES if name in requested]
-    else:
-        suites = [name for name in SELFTEST_SUITES
-                  if name != "objstore" or args.backend == "obj"]
-    failures = 0
-    for suite in suites:
-        print(f"=== {suite} ===", flush=True)
-        if suite == "lint":
-            from repro.analysis.lint import main as lint_main
-
-            failures += lint_main(["--selftest"])
-        elif suite == "session":
-            from repro.analysis.session import main as session_main
-
-            failures += session_main(["--selftest"])
-        elif suite == "obs":
-            from repro.analysis.obs import main as obs_main
-
-            failures += obs_main(["--selftest"])
-        elif suite == "runner":
-            from repro.analysis.runner import main as runner_main
-
-            failures += runner_main(["--selftest"])
-        elif suite == "objstore":
-            from repro.analysis.objstore import main as objstore_main
-
-            failures += objstore_main(["--selftest"])
-        elif suite == "cache":
-            failures += _forward_cache(["--selftest", "--backend",
-                                        args.backend])
-        elif suite == "distrib":
-            failures += _forward_distrib(["--selftest", "--backend",
-                                          args.backend])
-        elif suite == "serve":
-            from repro.analysis.serve import main as serve_main
-
-            failures += serve_main(["--selftest"])
-    print("selftest matrix:", "PASS" if failures == 0
-          else f"{failures} suite failure(s)")
-    return 0 if failures == 0 else 1
-
-
-def _build_parser():
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro",
-        description="Run, cache, distribute and smoke-test the paper's "
-                    "experiment plans through one entry point.",
-        epilog="Execution policy for 'run' resolves as: flags > REPRO_* "
-               "environment variables > repro.toml ([run] table) > "
-               "defaults.")
-    commands = parser.add_subparsers(dest="command")
-
-    run_cmd = commands.add_parser(
-        "run", help="execute a plan through a Session",
-        description="Execute MODULE:FACTORY — a callable returning "
-                    "(plan, quantities) — through a Session wired from "
-                    "the resolved RunConfig.")
-    run_cmd.add_argument("--plan", required=True,
-                         help="MODULE:CALLABLE returning (plan, quantities)"
-                              " — e.g. repro.analysis.distrib:selftest_plan")
-    run_cmd.add_argument("--workers", default=None, metavar="N|auto",
-                         help="pool size (auto = cpu count; default: "
-                              "resolved)")
-    run_cmd.add_argument("--cache-mode", default=None,
-                         choices=("off", "rw", "ro"),
-                         help="persistent-cache mode (default: resolved)")
-    run_cmd.add_argument("--cache-root", default=None, metavar="SPEC",
-                         help="cache root: a directory, a bucket URL, or "
-                              "fs / obj:URL (default: resolved)")
-    run_cmd.add_argument("--distrib-root", default=None, metavar="ROOT",
-                         help="shared fleet root — directory or bucket URL "
-                              "(default: resolved; none = local execution)")
-    run_cmd.add_argument("--shard-size", default=None, metavar="N",
-                         help="points per distrib shard (default: resolved)")
-    run_cmd.add_argument("--config", default=None, metavar="FILE",
-                         help="repro.toml to resolve from (default: "
-                              "$REPRO_CONFIG or ./repro.toml)")
-    run_cmd.add_argument("--json", action="store_true",
-                         help="emit config, values and provenance as JSON")
-
-    # Registered for --help only; dispatch short-circuits before argparse
-    # so every flag (e.g. cache's --stats) reaches the module main intact.
-    commands.add_parser(
-        "cache", add_help=False,
-        help="persistent-cache maintenance "
-             "(alias of python -m repro.analysis.cache)")
-    commands.add_parser(
-        "distrib", add_help=False,
-        help="fleet worker/submit/status/run "
-             "(alias of python -m repro.analysis.distrib)")
-    commands.add_parser(
-        "campaign", add_help=False,
-        help="scenario campaigns and the invariant fuzzer "
-             "(alias of python -m repro.analysis.campaign)")
-    commands.add_parser(
-        "obs", add_help=False,
-        help="observability: perf-trajectory append/check and the live "
-             "fleet dashboard (alias of python -m repro.analysis.obs)")
-    commands.add_parser(
-        "check", add_help=False,
-        help="project-invariant static analysis over src/ — determinism, "
-             "store layering, clock/lock discipline, batched cache keys "
-             "(alias of python -m repro.analysis.lint)")
-
-    # Like cache/distrib/campaign: registered for --help only, dispatch
-    # short-circuits to _cmd_serve's own parser.
-    commands.add_parser(
-        "serve", add_help=False,
-        help="experiment service: start/submit/status/wait, plus the "
-             "objstore server (bare 'serve' = deprecated objstore alias)")
-
-    selftest_cmd = commands.add_parser(
-        "selftest", help="run the module selftests "
-                         "(session, runner, cache, distrib, serve"
-                         "[, objstore])")
-    selftest_cmd.add_argument("--backend", choices=("fs", "obj"),
-                              default="fs",
-                              help="storage backend for the cache/distrib "
-                                   "suites; obj adds the objstore protocol "
-                                   "suite (default: fs)")
-    selftest_cmd.add_argument("--only", default=None, metavar="LIST",
-                              help="comma-separated subset of: "
-                                   + ", ".join(SELFTEST_SUITES))
-    return parser
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Dispatch one consolidated-CLI invocation; returns the exit code."""
-    argv = list(sys.argv[1:] if argv is None else argv)
-    # Forwarded subcommands bypass argparse entirely: their flags belong
-    # to the module mains, and argparse's REMAINDER handling would eat
-    # leading options.
-    if argv and argv[0] in _FORWARDED:
-        return _FORWARDED[argv[0]](argv[1:])
-    from repro.errors import ConfigurationError
-
-    try:
-        if argv and argv[0] == "serve":
-            # Like the forwarded subcommands, serve parses its own argv
-            # (it keeps the legacy flag spelling alive); the transport
-            # errors of its client subcommands are user-facing too.
-            from repro.analysis.serve.client import ServiceError
-
-            try:
-                return _cmd_serve(argv[1:])
-            except ServiceError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 1
-        parser = _build_parser()
-        args = parser.parse_args(argv)
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "selftest":
-            return _cmd_selftest(args)
-    except ConfigurationError as exc:
-        # Misconfiguration is a user error: one clear line, no traceback.
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    parser.print_help()
-    return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -13,13 +13,16 @@ import pytest
 from repro.analysis.cache import (
     CACHE_MODES,
     ResultCache,
+    StoredObject,
     callable_fingerprint,
     code_version_salt,
-    main as cache_main,
+    object_etag,
+    open_store,
     result_key,
     stable_repr,
 )
 from repro.analysis.runner import Executor, ExperimentPlan, TechnologyCache
+from repro.cli import main as cli_main
 from repro.errors import ConfigurationError
 from repro.models.gate import GateModel
 
@@ -50,6 +53,65 @@ def plan():
 @pytest.fixture()
 def quantities():
     return {"delay": _delay, "energy": _energy}
+
+
+def cache_main(argv):
+    """``python -m repro cache ARGV`` in-process; returns the exit code."""
+    return cli_main(["cache", *argv])
+
+
+@pytest.fixture(params=["fs", "obj"])
+def raw_store(request, tmp_path):
+    """One empty ``CacheStore`` per backend: a directory, or a bucket."""
+    if request.param == "obj":
+        from repro.analysis.objstore import FakeObjectServer
+
+        with FakeObjectServer() as server:
+            yield open_store(f"{server.url}/contract")
+    else:
+        yield open_store(tmp_path)
+
+
+class TestStoreContract:
+    """The ``CacheStore`` interface both backends implement identically."""
+
+    def test_put_atomic_get_round_trip_with_content_etag(self, raw_store):
+        etag = raw_store.put_atomic("contract/a", b"alpha")
+        assert etag == object_etag(b"alpha")
+        assert raw_store.get("contract/a") == StoredObject(b"alpha", etag)
+
+    def test_stat_reports_existence_and_size(self, raw_store):
+        raw_store.put_atomic("contract/a", b"alpha")
+        assert raw_store.stat("contract/a").size == 5
+        assert raw_store.stat("contract/missing") is None
+
+    def test_put_if_absent_creates_exactly_once(self, raw_store):
+        assert raw_store.put_if_absent("contract/b", b"beta") is not None
+        assert raw_store.put_if_absent("contract/b", b"other") is None
+        assert raw_store.get("contract/b").data == b"beta"
+
+    def test_put_if_match_replaces_only_the_live_etag(self, raw_store):
+        created = raw_store.put_if_absent("contract/b", b"beta")
+        assert raw_store.put_if_match("contract/b", b"beta2", "stale") is None
+        assert raw_store.put_if_match("contract/b", b"beta2",
+                                      created) is not None
+        assert raw_store.get("contract/b").data == b"beta2"
+        assert raw_store.put_if_match("contract/missing", b"x",
+                                      created) is None
+
+    def test_list_is_prefix_scoped_and_sorted(self, raw_store):
+        for key in ("contract/b", "contract/a", "other/c"):
+            raw_store.put_atomic(key, b"x")
+        assert [info.key for info in raw_store.list("contract/")] == \
+            ["contract/a", "contract/b"]
+        assert [info.key for info in raw_store.list("contract/a")] == \
+            ["contract/a"]
+
+    def test_delete_removes_exactly_once(self, raw_store):
+        raw_store.put_atomic("contract/a", b"alpha")
+        assert raw_store.delete("contract/a")
+        assert not raw_store.delete("contract/a")
+        assert raw_store.get("contract/a") is None
 
 
 class TestContentKeys:
@@ -472,10 +534,6 @@ class TestCacheCLI:
         assert payload["root"] == str(tmp_path)
         assert payload["salts"][payload["current_salt"]]["results"] == 1
         assert {"hits", "misses", "writes"} <= set(payload["session"])
-
-    def test_selftest_passes(self, capsys):
-        assert cache_main(["--selftest"]) == 0
-        assert "PASS" in capsys.readouterr().out
 
     def test_no_arguments_prints_help(self, capsys):
         assert cache_main([]) == 2

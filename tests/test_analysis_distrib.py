@@ -7,17 +7,23 @@ live one is exclusive); and the coordinator merges shard slices — and the
 per-shard provenance — back into one result stored under the very key a
 plain persistent-cache run would compute.
 
-Everything here runs in-process (a :class:`Worker` object is just driven
-by the test) except one smoke test of the real ``worker --once`` CLI; the
-full multi-process fleet, including the kill-mid-lease reclaim, is
-exercised by ``python -m repro.analysis.distrib --selftest``.
+Most of it runs in-process (a :class:`Worker` object is just driven by
+the test).  :class:`TestRealFleet` runs real ``python -m repro distrib
+worker`` subprocesses over a directory and over an object-store bucket:
+a fleet merge, a worker SIGKILLed mid-lease whose shard a survivor
+reclaims, and a batched Monte-Carlo kernel executed by a worker process.
 """
 
+import os
+import signal
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.analysis.cache import ResultCache, result_key
 from repro.analysis.distrib import (
@@ -30,16 +36,24 @@ from repro.analysis.distrib import (
     job_status,
     list_jobs,
     list_workers,
-    main as distrib_main,
     merge_job,
     queue_summary,
     shard_key,
     submit,
+    selftest_plan,
     wait_for_job,
     worker_id,
 )
-from repro.analysis.runner import Executor, ExperimentPlan
+from repro.analysis.distrib import _selftest_delay, _selftest_energy
+from repro.analysis.runner import (
+    Executor,
+    ExperimentPlan,
+    _selftest_batch_mc_delay,
+    batched,
+)
+from repro.cli import main as cli_main
 from repro.errors import ConfigurationError
+from repro.models.technology import get_technology
 
 XS = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]
 
@@ -71,6 +85,23 @@ def _explode_above_two(x):
 def tiny_plan():
     """Plan factory used by the CLI tests (MODULE:CALLABLE spec)."""
     return ExperimentPlan.sweep("x", XS), {"double": _double}
+
+
+def distrib_main(argv):
+    """``python -m repro distrib ARGV`` in-process; returns the exit code."""
+    return cli_main(["distrib", *argv])
+
+
+def worker_command(root, *extra):
+    """argv and environment of a real ``repro distrib worker`` process
+    importing this same ``repro`` package."""
+    env = dict(os.environ)
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "repro", "distrib", "worker",
+            "--root", str(root), *extra]
+    return argv, env
 
 
 @pytest.fixture()
@@ -517,21 +548,138 @@ class TestCLI:
         this test module would pickle by reference to a module the worker
         cannot import — exactly the skip case tested above).
         """
-        from repro.analysis.distrib import selftest_plan
-        import repro
-        from pathlib import Path
-
         plan, quantities = selftest_plan()
         job = submit(plan, quantities, root=tmp_path, shard_size=4)
-        completed = subprocess.run(
-            [sys.executable, "-m", "repro.analysis.distrib", "worker",
-             "--root", str(tmp_path), "--once"],
-            capture_output=True, text=True, timeout=120,
-            env={"PYTHONPATH": str(Path(repro.__file__).parent.parent),
-                 "PATH": "/usr/bin:/bin"})
+        argv, env = worker_command(tmp_path, "--once")
+        completed = subprocess.run(argv, env=env, cwd=tmp_path,
+                                   capture_output=True, text=True,
+                                   timeout=120)
         assert completed.returncode == 0, completed.stderr
         assert job_status(job)["complete"]
         values, metas = merge_job(job)
         assert values == Executor(workers=0).run(plan, quantities).values
         # The subprocess, not this test process, executed the shards.
         assert all(m["worker"] != worker_id() for m in metas)
+
+
+# ---------------------------------------------------------------------------
+# A real multi-process fleet, over each storage backend
+
+
+def wait_until(predicate, timeout_s=60.0):
+    deadline = time.monotonic() + timeout_s
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(0.05)
+    return False
+
+
+@pytest.fixture(params=["fs", "obj"])
+def fleet_root(request, tmp_path):
+    """A shared root: a directory, or a bucket on an in-process object
+    store the worker processes reach only over HTTP (shared-nothing)."""
+    if request.param == "obj":
+        from repro.analysis.objstore import FakeObjectServer
+
+        with FakeObjectServer() as server:
+            yield f"{server.url}/fleet"
+    else:
+        yield str(tmp_path / "fleet")
+
+
+@pytest.fixture()
+def spawn(tmp_path):
+    """Start worker subprocesses; every one is stopped at teardown."""
+    procs = []
+
+    def start(root, *extra):
+        argv, env = worker_command(root, *extra)
+        proc = subprocess.Popen(argv, env=env, cwd=tmp_path,
+                                stdout=subprocess.DEVNULL,
+                                stderr=subprocess.DEVNULL)
+        procs.append(proc)
+        return proc
+
+    yield start
+    for proc in procs:
+        if proc.poll() is None:
+            proc.terminate()
+    for proc in procs:
+        try:
+            proc.wait(timeout=10)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
+
+
+class TestRealFleet:
+    def test_fleet_merge_is_bit_identical(self, fleet_root, spawn):
+        plan, quantities = selftest_plan()
+        serial = Executor(workers=0).run(plan, quantities)
+        for _ in range(2):
+            spawn(fleet_root, "--lease-ttl", "5", "--poll", "0.05",
+                  "--max-idle", "60")
+        assert wait_until(lambda: len(list_workers(fleet_root)) >= 2)
+        job = submit(plan, quantities, root=fleet_root, shard_size=1)
+        assert submit(plan, quantities, root=fleet_root,
+                      shard_size=1).key == job.key
+        values, metas = wait_for_job(job, participate=False, poll_s=0.05,
+                                     timeout_s=90.0)
+        assert values == serial.values
+        assert len(metas) == len(job.shards)
+        assert all(m["worker"] != "?" and m["wall_time_s"] > 0.0
+                   for m in metas)
+        # The deliberately slowed quantity lets both workers win shards.
+        assert len({m["worker"] for m in metas}) >= 2
+        assert worker_id() not in {m["worker"] for m in metas}
+        replay = Executor(persistent=ResultCache(root=fleet_root,
+                                                 mode="ro")).run(
+            plan, quantities)
+        assert replay.provenance.executor == "persistent-cache"
+        assert replay.values == serial.values
+        status = job_status(job)
+        assert status["complete"] and status["merged"]
+
+    def test_sigkilled_worker_lease_is_reclaimed(self, fleet_root, spawn):
+        plan = ExperimentPlan.sweep("vdd",
+                                    [0.27 + 0.05 * i for i in range(12)])
+        quantities = {"delay": _selftest_delay, "energy": _selftest_energy}
+        serial = Executor(workers=0).run(plan, quantities)
+        job = submit(plan, quantities, root=fleet_root, shard_size=1)
+        cache = ResultCache(root=fleet_root, mode="ro", salt=job.salt)
+        staller = spawn(fleet_root, "--lease-ttl", "1", "--poll", "0.05",
+                        "--stall")
+
+        def stalled_lease():
+            for shard in job.shards:
+                info = cache.lease_info(shard.key)
+                if info is not None:
+                    return shard, info
+            return None
+
+        assert wait_until(lambda: stalled_lease() is not None)
+        stalled_shard, stalled_info = stalled_lease()
+        os.kill(staller.pid, signal.SIGKILL)
+        staller.wait()
+        for _ in range(2):
+            spawn(fleet_root, "--lease-ttl", "1", "--poll", "0.05",
+                  "--max-idle", "60")
+        values, metas = wait_for_job(job, participate=False, poll_s=0.05,
+                                     timeout_s=90.0)
+        assert values == serial.values
+        reclaimed = metas[stalled_shard.index]["worker"]
+        assert reclaimed not in ("?", stalled_info["owner"])
+
+    def test_batched_monte_carlo_runs_in_a_worker(self, fleet_root, spawn):
+        plan = ExperimentPlan.monte_carlo(
+            16, technology=get_technology("cmos90"), seed=11)
+        quantities = {"delay": batched(_selftest_batch_mc_delay)}
+        per_point = Executor(workers=0, batch=False).run(plan, quantities)
+        spawn(fleet_root, "--poll", "0.05", "--max-idle", "60")
+        job = submit(plan, quantities, root=fleet_root, shard_size=4)
+        values, metas = wait_for_job(job, participate=False, poll_s=0.05,
+                                     timeout_s=90.0)
+        assert values == per_point.values
+        assert len(metas) == len(job.shards)
+        assert worker_id() not in {m["worker"] for m in metas}

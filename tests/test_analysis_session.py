@@ -419,7 +419,10 @@ class TestConsolidatedCLI:
         from repro.cli import main
 
         assert main([]) == 2
-        assert "selftest" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert all(name in out for name in ("run", "cache", "distrib",
+                                            "serve", "campaign", "obs",
+                                            "check"))
 
     def test_cache_alias_forwards_flags_verbatim(self, tmp_path,
                                                  monkeypatch, capsys):
@@ -455,9 +458,3 @@ class TestConsolidatedCLI:
                      "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["values"] == direct.values
-
-    def test_selftest_rejects_unknown_suite(self, capsys):
-        from repro.cli import main
-
-        assert main(["selftest", "--only", "nonsense"]) == 2
-        assert "unknown selftest suite" in capsys.readouterr().out

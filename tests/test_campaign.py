@@ -368,21 +368,30 @@ class TestCampaignCLI:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
-    def test_fuzz_and_repro_round_trip(self, tmp_path, capsys):
-        from repro.analysis.campaign.cli import main
+    def test_fuzz_and_repro_round_trip(self, tmp_path, monkeypatch,
+                                       capsys):
+        import importlib
 
-        code = main(["fuzz", "--budget", "6", "--seed", "1",
-                     "--corpus", str(tmp_path)],
-                    invariants=broken_registry())
-        assert code == 1
-        out = capsys.readouterr().out
-        assert "VIOLATION" in out
-        case_id = sorted(p.stem for p in tmp_path.glob("*.json"))[0]
-        assert main(["repro", case_id, "--corpus", str(tmp_path)],
-                    invariants=broken_registry()) == 0
-        assert "reproduced byte-for-byte" in capsys.readouterr().out
+        from repro.cli import main
+
+        # (the package re-exports the fuzz() function under the same name)
+        fuzz_module = importlib.import_module("repro.analysis.campaign.fuzz")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(fuzz_module, "DEFAULT_INVARIANTS",
+                          broken_registry())
+            code = main(["campaign", "fuzz", "--budget", "6", "--seed", "1",
+                         "--corpus", str(tmp_path)])
+            assert code == 1
+            out = capsys.readouterr().out
+            assert "VIOLATION" in out
+            case_id = sorted(p.stem for p in tmp_path.glob("*.json"))[0]
+            assert main(["campaign", "repro", case_id,
+                         "--corpus", str(tmp_path)]) == 0
+            assert "reproduced byte-for-byte" in capsys.readouterr().out
         # against the healthy registry the case must NOT reproduce
-        assert main(["repro", case_id, "--corpus", str(tmp_path)]) == 1
+        assert main(["campaign", "repro", case_id,
+                     "--corpus", str(tmp_path)]) == 1
         assert "DID NOT reproduce" in capsys.readouterr().out
 
     def test_repro_unknown_case_exits_cleanly(self, tmp_path, capsys):

@@ -1,22 +1,29 @@
 """Docs freshness: the README map and the doc links cannot rot silently.
 
-Two checks, both also run by the CI ``docs`` job:
+Checks, all also run by the CI ``docs`` job:
 
 * every ``benchmarks/test_*.py`` file appears in the README's
   figure → benchmark → module map table (and every file the table
   names exists), so a new benchmark cannot land undocumented and a
   renamed one cannot leave a stale row behind;
 * every relative link and anchor in ``README.md`` and ``docs/*.md``
-  resolves (``scripts/check_doc_links.py``).
+  resolves (``scripts/check_doc_links.py``);
+* every ``python -m repro <command> [<subcommand>]`` the docs spell
+  exists in :mod:`repro.cli`'s tree, and no retired
+  ``python -m repro.analysis.<module>`` entry point is documented.
 """
 
+import argparse
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+from repro.cli import build_parser
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 README = REPO_ROOT / "README.md"
+DOCS = [README, *sorted((REPO_ROOT / "docs").glob("*.md"))]
 
 
 def readme_benchmark_references():
@@ -58,5 +65,45 @@ def test_observability_doc_covers_every_feed():
     for needle in ("GET /v1/status", "GET /v1/dashboard",
                    "distrib status --json", "cache --stats --json",
                    "BENCH_history.jsonl", "--allow",
-                   "check_bench_regression.py", "bench_trajectory.py"):
+                   "repro obs check", "repro obs append"):
         assert needle in doc, f"docs/observability.md lost {needle!r}"
+
+
+def subcommands(parser):
+    """name -> parser of *parser*'s subcommands (empty for a leaf)."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return action.choices
+    return {}
+
+
+def test_documented_cli_spellings_parse():
+    """Each ``python -m repro WORD [WORD]`` in the docs names a command
+    (and, for a command group, a subcommand) of the real tree."""
+    commands = subcommands(build_parser())
+    pattern = re.compile(r"python -m repro((?:[ \t]+[\w-]+){1,2})")
+    unknown = []
+    for doc in DOCS:
+        for match in pattern.finditer(doc.read_text()):
+            words = match.group(1).split()
+            command = commands.get(words[0])
+            if command is None:
+                unknown.append(f"{doc.name}: {match.group(0)}")
+                continue
+            nested = subcommands(command.ensure_registered())
+            if (nested and len(words) > 1 and not words[1].startswith("-")
+                    and words[1] not in nested):
+                unknown.append(f"{doc.name}: {match.group(0)}")
+    assert not unknown, (
+        "docs spell command lines the CLI does not have:\n  "
+        + "\n  ".join(unknown))
+
+
+def test_no_retired_module_entry_points_are_documented():
+    stale = [f"{doc.name}: {line.strip()}"
+             for doc in DOCS for line in doc.read_text().splitlines()
+             if "python -m repro.analysis." in line]
+    assert not stale, (
+        "docs name retired 'python -m repro.analysis.X' entry points — "
+        "spell them as 'python -m repro' subcommands:\n  "
+        + "\n  ".join(stale))

@@ -14,11 +14,17 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.lint import (SCHEMA_VERSION, check_paths, default_root,
-                                 main, report_json)
+                                 report_json)
+from repro.cli import main as cli_main
 
 FIXTURES = Path(__file__).parent / "lint_fixtures"
 BAD = FIXTURES / "bad"
 GOOD = FIXTURES / "good"
+
+
+def check_cli(argv):
+    """``python -m repro check ARGV`` in-process; returns the exit code."""
+    return cli_main(["check", *argv])
 
 
 def findings_for(path, **kwargs):
@@ -316,41 +322,37 @@ class TestJSONReport:
 
 class TestCLI:
     def test_clean_tree_exits_zero(self, capsys):
-        assert main([str(GOOD)]) == 0
+        assert check_cli([str(GOOD)]) == 0
         assert "clean" in capsys.readouterr().out
 
     def test_findings_exit_one(self, capsys):
-        assert main([str(BAD)]) == 1
+        assert check_cli([str(BAD)]) == 1
         assert "finding(s)" in capsys.readouterr().out
 
     def test_json_flag(self, capsys):
-        assert main([str(BAD), "--json"]) == 1
+        assert check_cli([str(BAD), "--json"]) == 1
         doc = json.loads(capsys.readouterr().out)
         assert doc["version"] == SCHEMA_VERSION and doc["findings"]
 
     def test_rule_flag(self, capsys):
-        assert main([str(BAD), "--rule", "R5", "--json"]) == 1
+        assert check_cli([str(BAD), "--rule", "R5", "--json"]) == 1
         doc = json.loads(capsys.readouterr().out)
         assert set(doc["counts"]) <= {"R0", "R5"}
         assert doc["counts"]["R5"] == 3
 
     def test_select_ignore_flags(self, capsys):
-        assert main([str(BAD), "--select", "R1,R2", "--ignore", "R2",
+        assert check_cli([str(BAD), "--select", "R1,R2", "--ignore", "R2",
                      "--json"]) == 1
         doc = json.loads(capsys.readouterr().out)
         assert set(doc["counts"]) <= {"R0", "R1"}
 
     def test_unknown_rule_exits_two(self, capsys):
-        assert main([str(BAD), "--rule", "R99"]) == 2
+        assert check_cli([str(BAD), "--rule", "R99"]) == 2
         assert "unknown rule" in capsys.readouterr().err
 
     def test_missing_path_exits_two(self, capsys):
-        assert main(["no/such/dir"]) == 2
+        assert check_cli(["no/such/dir"]) == 2
         assert "no such path" in capsys.readouterr().err
-
-    def test_selftest_passes(self, capsys):
-        assert main(["--selftest"]) == 0
-        assert "PASS" in capsys.readouterr().out
 
 
 class TestRepositoryIsClean:
@@ -365,4 +367,4 @@ class TestRepositoryIsClean:
         target = write_tree(tmp_path, "models/seeded.py",
                             "import time\n\n\ndef point(x):\n"
                             "    return x * time.time()\n")
-        assert main([str(target)]) == 1
+        assert check_cli([str(target)]) == 1

@@ -20,11 +20,7 @@ from repro.analysis.cache import (
     open_store,
 )
 from repro.analysis.distrib import Worker, merge_job, submit, wait_for_job
-from repro.analysis.objstore import (
-    FakeObjectServer,
-    ObjectStore,
-    main as objstore_main,
-)
+from repro.analysis.objstore import FakeObjectServer, ObjectStore
 from repro.analysis.runner import Executor, ExperimentPlan
 from repro.errors import ConfigurationError
 
@@ -117,6 +113,28 @@ class TestClientProtocol:
                    if outcome is not None]
         assert len(winners) == 1
         assert store.get("cas").data == b"winner-%d" % winners[0]
+
+    def test_put_replies_after_releasing_the_server_lock(self, server,
+                                                         monkeypatch):
+        # A reply sent under the lock lets one client that stops reading
+        # stall every other request; every PUT outcome must reply unlocked.
+        from repro.analysis.objstore import _ObjectStoreHandler
+
+        replies = []
+        original = _ObjectStoreHandler._reply
+
+        def checked_reply(handler, status, *args, **kwargs):
+            replies.append((status, handler._lock.locked()))
+            return original(handler, status, *args, **kwargs)
+
+        monkeypatch.setattr(_ObjectStoreHandler, "_reply", checked_reply)
+        store = ObjectStore(f"{server.url}/unlocked-replies")
+        etag = store.put_if_absent("key", b"v1")
+        assert store.put_if_absent("key", b"v2") is None
+        assert store.put_if_match("key", b"v2", "stale") is None
+        assert store.put_if_match("missing", b"v2", etag) is None
+        assert {status for status, _ in replies} == {200, 404, 412}
+        assert not any(locked for _, locked in replies)
 
     def test_listing_paginates_and_scopes(self, server):
         store = ObjectStore(f"{server.url}/pages", page_size=3)
@@ -228,13 +246,3 @@ class TestDistribOverObjectStore:
             plan, quantities)
         assert replay.provenance.executor == "persistent-cache"
         assert replay.values == serial.values
-
-
-class TestCLI:
-    def test_selftest_passes(self, capsys):
-        assert objstore_main(["--selftest"]) == 0
-        assert "PASS" in capsys.readouterr().out
-
-    def test_no_arguments_prints_help(self, capsys):
-        assert objstore_main([]) == 2
-        assert "usage" in capsys.readouterr().out

@@ -16,7 +16,6 @@ from urllib.request import urlopen
 
 import pytest
 
-from repro.analysis.obs import main as obs_main
 from repro.analysis.obs.dashboard import (
     DashboardServer,
     collect_feeds,
@@ -30,14 +29,18 @@ from repro.analysis.obs.trajectory import (
     check_regressions,
     ingest_report,
     load_history,
-    main_append,
-    main_check,
 )
 from repro.analysis.serve import ExperimentServer, ExperimentService
 from repro.analysis.session import RunConfig
+from repro.cli import main as cli_main
 
 #: Every feed section the dashboard must always render.
 SECTIONS = ("tenants", "admission", "fleet", "cache", "trajectory")
+
+
+def obs_cli(argv):
+    """``python -m repro obs ARGV`` in-process; returns the exit code."""
+    return cli_main(["obs", *argv])
 
 
 def bench_report(median_s, name="test_hot_path", extra=None):
@@ -167,19 +170,19 @@ class TestRegressionGate:
         report = tmp_path / "BENCH_ci.json"
         report.write_text(json.dumps(bench_report(0.10)))
         # Seed the trajectory through the append CLI.
-        assert main_append([str(report), "--history", str(history),
+        assert obs_cli(["append", str(report), "--history", str(history),
                             "--sha", "c0", "--date", "2026-08-08"]) == 0
         # Same timing: gate passes.
-        assert main_check([str(report), "--history", str(history)]) == 0
+        assert obs_cli(["check", str(report), "--history", str(history)]) == 0
         # A 50% slowdown: gate fails...
         report.write_text(json.dumps(bench_report(0.15)))
-        assert main_check([str(report), "--history", str(history)]) == 1
+        assert obs_cli(["check", str(report), "--history", str(history)]) == 1
         # ...unless deliberately allowed.
-        assert main_check([str(report), "--history", str(history),
+        assert obs_cli(["check", str(report), "--history", str(history),
                            "--allow", "test_hot_path"]) == 0
         # A benchmark with no baseline never fails the gate.
         report.write_text(json.dumps(bench_report(9.9, name="test_new")))
-        assert main_check([str(report), "--history", str(history)]) == 0
+        assert obs_cli(["check", str(report), "--history", str(history)]) == 0
         out = capsys.readouterr().out
         assert "NEW" in out and "ALLOWED" in out and "FAIL" in out
 
@@ -187,11 +190,13 @@ class TestRegressionGate:
         history = tmp_path / "h.jsonl"
         report = tmp_path / "r.json"
         report.write_text(json.dumps(bench_report(0.10)))
-        assert obs_main(["append", str(report), "--history", str(history),
+        assert obs_cli(["append", str(report), "--history", str(history),
                          "--sha", "c0"]) == 0
-        assert obs_main(["check", str(report), "--history",
+        assert obs_cli(["check", str(report), "--history",
                          str(history)]) == 0
-        assert obs_main(["no-such-verb"]) == 2
+        with pytest.raises(SystemExit) as exit_info:
+            obs_cli(["no-such-verb"])
+        assert exit_info.value.code == 2
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,9 @@ references) are ordered across tenants by a fair-share scheduler and
 executed on one shared Session, so every served result is byte-identical
 to a direct ``Session.run``; the admission gate refuses *new* work past
 the watermarks with 429 + retry hint but never touches plans already
-admitted.  The heavier two-tenant burst scenario lives in ``python -m
-repro serve --selftest`` (chained by ``repro selftest`` and the CI
-service smoke job); these tests keep each piece small and fast.
+admitted.  A heavier two-tenant burst over a real server subprocess
+runs in ``scripts/service_smoke.py`` (the CI service job); these tests
+keep each piece small and fast.
 """
 
 import json
@@ -255,6 +255,16 @@ class TestServiceSubmission:
         with pytest.raises(ConfigurationError, match="closed"):
             service.start()
 
+    def test_uptime_survives_a_backwards_wall_clock_step(self,
+                                                         monkeypatch):
+        import time
+
+        with ExperimentService(hermetic_config(), start=False) as service:
+            # NTP steps the wall clock an hour back mid-run.
+            stepped = time.time() - 3600.0
+            monkeypatch.setattr(time, "time", lambda: stepped)
+            assert 0.0 <= service.status()["uptime_s"] < 3600.0
+
     def test_concurrent_close_joins_every_dispatcher(self):
         # Regression: close() used to walk self._threads outside the
         # lock, racing start()'s appends and a second closer's clear().
@@ -369,7 +379,7 @@ class TestHTTPEndpoints:
                                max_queue_depth=1, start=False) as service, \
                 ExperimentServer(service, port=0) as server:
             client = ServiceClient(server.url)
-            client.submit_plan("repro.analysis.serve:steady_plan")
+            admitted = client.submit_plan("repro.analysis.serve:steady_plan")
             with pytest.raises(ServiceOverloaded) as refusal:
                 client.submit_plan("repro.analysis.serve:steady_plan")
             assert refusal.value.retry_after_s > 0
@@ -384,6 +394,15 @@ class TestHTTPEndpoints:
             assert response.status == 429
             assert int(response.getheader("Retry-After")) >= 1
             raw.close()
+            # Refusal never touches admitted work, and the gate reopens
+            # once the queue drains.
+            service.start()
+            assert client.wait(admitted["id"],
+                               timeout_s=60)["state"] == "done"
+            reopened = client.submit_plan("repro.analysis.serve:steady_plan")
+            assert client.wait(reopened["id"],
+                               timeout_s=60)["state"] == "done"
+            assert client.status()["admission"]["rejected"] == 2
 
     def test_client_rejects_malformed_urls(self):
         for bad in ("ftp://h:1", "127.0.0.1:9210", "http://h:1/path"):
@@ -436,6 +455,8 @@ class TestMultiTenant:
             assert all(seq <= 3 * (k + 1)
                        for k, seq in enumerate(steady_seqs))
             assert max(steady_seqs) < burst_n
+            virtual = client.status()["scheduler"]["virtual_time"]
+            assert virtual["burst"] > virtual["steady"] > 0
 
     def test_concurrent_tenant_threads_get_identical_results(self, server):
         plan, quantities = demo_plan()
@@ -473,17 +494,16 @@ class TestMultiTenant:
 
 
 class TestServeCLI:
-    def test_bare_serve_is_a_deprecated_objstore_alias(self, monkeypatch,
-                                                       capsys):
-        import repro.analysis.objstore as objstore
+    def test_bare_serve_prints_help(self, capsys):
         from repro.cli import main
 
-        calls = []
-        monkeypatch.setattr(objstore, "main",
-                            lambda argv: calls.append(list(argv)) or 0)
-        assert main(["serve", "--host", "0.0.0.0", "--port", "1"]) == 0
-        assert calls == [["--serve", "--host", "0.0.0.0", "--port", "1"]]
-        assert "deprecated" in capsys.readouterr().err
+        assert main(["serve"]) == 2
+        out = capsys.readouterr().out
+        assert "start" in out and "objstore" in out
+        # The pre-service object-store spelling is gone, not aliased.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--port", "1"])
+        assert exit_info.value.code == 2
 
     def test_serve_objstore_subcommand_has_no_warning(self, monkeypatch,
                                                       capsys):
@@ -491,10 +511,11 @@ class TestServeCLI:
         from repro.cli import main
 
         calls = []
-        monkeypatch.setattr(objstore, "main",
-                            lambda argv: calls.append(list(argv)) or 0)
+        monkeypatch.setattr(objstore, "_serve",
+                            lambda args: calls.append(args) or 0)
         assert main(["serve", "objstore", "--port", "7"]) == 0
-        assert calls == [["--serve", "--port", "7"]]
+        [args] = calls
+        assert (args.host, args.port) == ("127.0.0.1", 7)
         assert capsys.readouterr().err == ""
 
     def test_submit_status_wait_round_trip(self, server, capsys):
@@ -528,15 +549,3 @@ class TestServeCLI:
         assert main(["serve", "status",
                      "--url", "http://127.0.0.1:9"]) == 1
         assert "unreachable" in capsys.readouterr().err
-
-    def test_serve_selftest_flag_reaches_the_module_main(self, monkeypatch):
-        import repro.analysis.serve as serve
-        from repro.cli import main
-
-        monkeypatch.setattr(serve, "main", lambda argv: 0)
-        assert main(["serve", "--selftest"]) == 0
-
-    def test_selftest_suites_include_serve(self):
-        from repro.cli import SELFTEST_SUITES
-
-        assert "serve" in SELFTEST_SUITES
