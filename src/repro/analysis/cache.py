@@ -431,7 +431,7 @@ class CacheStore:
 
 #: In-flight staging files the filesystem store writes next to its
 #: targets; they must never surface in listings.
-_STAGING_RE = re.compile(r"\.(tmp\d+|claim[0-9a-f]+)$")
+_STAGING_RE = re.compile(r"\.(tmp|claim)[0-9a-f]+$")
 
 
 class LocalFSStore(CacheStore):
@@ -464,7 +464,9 @@ class LocalFSStore(CacheStore):
     @staticmethod
     def _atomic_write(target: Path, data: bytes) -> None:
         target.parent.mkdir(parents=True, exist_ok=True)
-        tmp = target.with_name(target.name + f".tmp{os.getpid()}")
+        # Unique per call, like put_if_absent's staging: a pid alone
+        # collides between threads of one process writing the same key.
+        tmp = target.with_name(target.name + f".tmp{uuid.uuid4().hex[:16]}")
         tmp.write_bytes(data)
         os.replace(tmp, target)
 

@@ -98,17 +98,29 @@ class GateModel:
             raise ModelError("drive_strength must be positive")
         if not (0.0 < self.activity_factor <= 1.0):
             raise ModelError("activity_factor must lie in (0, 1]")
-        width = self.technology.min_width_um * 3.0 * self.drive_strength
+        tech = self.technology
+        width = tech.min_width_um * 3.0 * self.drive_strength
         object.__setattr__(
             self,
             "_mosfet",
             MosfetModel(
-                technology=self.technology,
+                technology=tech,
                 width_um=width,
                 vth_offset=self.vth_offset,
                 drive_derating=self.drive_derating,
             ),
         )
+        # Capacitances depend only on the fields, so they are computed once
+        # and stored like ``_mosfet``: outside the dataclass fields,
+        # invisible to equality and stable_repr.
+        cin = (tech.unit_inverter_input_cap * self.gate_type.logical_effort
+               * self.drive_strength)
+        cp = (tech.unit_inverter_output_cap * self.gate_type.parasitic
+              * self.drive_strength)
+        object.__setattr__(self, "_cin", cin)
+        object.__setattr__(self, "_cp", cp)
+        # Total load of the default fan-out of one like gate.
+        object.__setattr__(self, "_default_load", cp + cin)
 
     # ------------------------------------------------------------------
     # Capacitances
@@ -117,20 +129,23 @@ class GateModel:
     @property
     def input_capacitance(self) -> float:
         """Capacitance presented to whatever drives this gate, in farads."""
-        unit_cin = self.technology.unit_inverter_input_cap
-        return unit_cin * self.gate_type.logical_effort * self.drive_strength
+        return self._cin
 
     @property
     def parasitic_capacitance(self) -> float:
         """Intrinsic output (self-load) capacitance in farads."""
-        unit_cp = self.technology.unit_inverter_output_cap
-        return unit_cp * self.gate_type.parasitic * self.drive_strength
+        return self._cp
 
-    def total_load(self, external_load: float) -> float:
-        """Total switched capacitance for a given external load in farads."""
+    def total_load(self, external_load: Optional[float] = None) -> float:
+        """Total switched capacitance in farads for *external_load*.
+
+        ``None`` means a fan-out of one like gate.
+        """
+        if external_load is None:
+            return self._default_load
         if external_load < 0:
             raise ModelError("external load must be non-negative")
-        return self.parasitic_capacitance + external_load
+        return self._cp + external_load
 
     # ------------------------------------------------------------------
     # Delay
@@ -151,8 +166,6 @@ class GateModel:
                 f"vdd={vdd:.3f} V below functional minimum {tech.vdd_min:.3f} V "
                 f"for {tech.name}"
             )
-        if external_load is None:
-            external_load = self.input_capacitance  # fan-out of one like gate
         load = self.total_load(external_load)
         current = self._mosfet.on_current(vdd)
         if current <= 0 or not math.isfinite(current):
@@ -186,8 +199,6 @@ class GateModel:
         """
         if vdd < 0:
             raise ModelError("vdd must be non-negative")
-        if external_load is None:
-            external_load = self.input_capacitance
         load = self.total_load(external_load)
         return 0.5 * load * vdd * vdd * self.activity_factor
 
@@ -210,8 +221,10 @@ class GateModel:
     def transition_energy(self, vdd: float,
                           external_load: Optional[float] = None) -> float:
         """Total dynamic energy (switching + short-circuit) per transition."""
-        return (self.switching_energy(vdd, external_load)
-                + self.short_circuit_energy(vdd, external_load))
+        switching = self.switching_energy(vdd, external_load)
+        if vdd <= self.technology.vth:
+            return switching
+        return switching + 0.10 * switching
 
     def transition_charge(self, vdd: float,
                           external_load: Optional[float] = None) -> float:

@@ -68,6 +68,24 @@ class MosfetModel:
             raise ModelError(
                 f"drive_derating must be positive, got {self.drive_derating}"
             )
+        # Constants of the frozen fields, computed once.  Keep each float
+        # expression operand for operand (``tech.vth + 0.0`` included): the
+        # results must stay bit-identical, which tests/test_models_gate.py
+        # checks with ==.  Plain attributes, not fields, so equality,
+        # hashing and stable_repr (hence cache keys) ignore them.
+        tech = self.technology
+        n_ut = tech.subthreshold_slope_factor * thermal_voltage(tech.temperature_k)
+        # The nominal device (zero offset, unit width and derating) at
+        # nominal Vdd sets the current scale.
+        reference = _softplus(
+            (tech.vdd_nominal - (tech.vth + 0.0)) / n_ut) ** tech.alpha
+        if reference <= 0:
+            raise ModelError("technology parameters give zero reference current")
+        object.__setattr__(self, "_n_ut", n_ut)
+        object.__setattr__(self, "_vth", tech.vth + self.vth_offset)
+        object.__setattr__(
+            self, "_scale",
+            tech.i_on_per_um * self.width_um * self.drive_derating / reference)
 
     # ------------------------------------------------------------------
     # Core current expressions
@@ -76,7 +94,7 @@ class MosfetModel:
     @property
     def effective_vth(self) -> float:
         """Threshold voltage including the per-device offset."""
-        return self.technology.vth + self.vth_offset
+        return self._vth
 
     def _inversion_charge(self, vgs: float) -> float:
         """Dimensionless inversion-charge factor at gate-source voltage *vgs*.
@@ -84,10 +102,7 @@ class MosfetModel:
         ``softplus((vgs - vth) / (n·Ut)) ** alpha`` — exponential below
         threshold, power-law above, smooth in between.
         """
-        tech = self.technology
-        n_ut = tech.subthreshold_slope_factor * thermal_voltage(tech.temperature_k)
-        x = (vgs - self.effective_vth) / n_ut
-        return _softplus(x) ** tech.alpha
+        return _softplus((vgs - self._vth) / self._n_ut) ** self.technology.alpha
 
     def on_current(self, vgs: float) -> float:
         """Saturation drive current in amperes with gate at *vgs* volts.
@@ -98,12 +113,7 @@ class MosfetModel:
         """
         if vgs < 0:
             raise ModelError(f"vgs must be non-negative, got {vgs}")
-        tech = self.technology
-        reference = MosfetModel(technology=tech)._inversion_charge(tech.vdd_nominal)
-        if reference <= 0:
-            raise ModelError("technology parameters give zero reference current")
-        scale = tech.i_on_per_um * self.width_um * self.drive_derating / reference
-        return scale * self._inversion_charge(vgs)
+        return self._scale * self._inversion_charge(vgs)
 
     def leakage_current(self, vdd: float) -> float:
         """Sub-threshold (off-state) leakage in amperes at supply *vdd*.
@@ -118,10 +128,8 @@ class MosfetModel:
         if vdd == 0:
             return 0.0
         tech = self.technology
-        ut = thermal_voltage(tech.temperature_k)
-        n_ut = tech.subthreshold_slope_factor * ut
         dibl = 0.08  # V of effective Vth reduction per V of Vds, typical 90 nm
-        exponent = (dibl * (vdd - tech.vdd_nominal) - self.vth_offset) / n_ut
+        exponent = (dibl * (vdd - tech.vdd_nominal) - self.vth_offset) / self._n_ut
         return tech.i_leak_per_um * self.width_um * math.exp(exponent)
 
     # ------------------------------------------------------------------

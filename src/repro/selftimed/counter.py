@@ -17,6 +17,7 @@ Two counters appear in the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, List, Optional
 
 from repro.errors import ConfigurationError, SupplyCollapseError
@@ -90,6 +91,11 @@ class SelfTimedCounter(CircuitElement):
         self.running = False
         self.finished = False
         self.on_finish: Optional[Callable[["SelfTimedCounter"], None]] = None
+        # Per-edge actions and labels, built once instead of once per edge:
+        # index by the value the edge drives onto the pulse input.
+        self._osc_edges = (partial(self._osc_edge, False),
+                           partial(self._osc_edge, True))
+        self._osc_label = f"{name}.osc"
 
     # ------------------------------------------------------------------
     # Read-out
@@ -146,8 +152,8 @@ class SelfTimedCounter(CircuitElement):
         if not self._can_continue(vdd):
             return
         delay = self._half_period(vdd)
-        self.sim.schedule(delay, lambda v=next_value: self._osc_edge(v),
-                          label=f"{self.name}.osc")
+        self.sim.schedule(delay, self._osc_edges[next_value],
+                          label=self._osc_label)
 
     def _osc_edge(self, value: bool) -> None:
         if not self.running:
@@ -158,7 +164,7 @@ class SelfTimedCounter(CircuitElement):
         try:
             # One ring transition per half period.
             self.bill_energy(self._osc_model.transition_energy(vdd),
-                             label=f"{self.name}.osc")
+                             label=self._osc_label)
         except SupplyCollapseError:
             self._finish()
             return

@@ -67,6 +67,7 @@ class ToggleFlipFlop(CircuitElement):
         self.trigger_on_rising = trigger_on_rising
         self.toggle_count = 0
         self._busy = False
+        self._toggle_label = f"{name}.toggle"
         input_signal.subscribe(self._on_input)
 
     # ------------------------------------------------------------------
@@ -91,7 +92,7 @@ class ToggleFlipFlop(CircuitElement):
             return
         self._busy = True
         delay = self.model.delay(vdd) * self.internal_transitions
-        self.sim.schedule(delay, self._complete, label=f"{self.name}.toggle")
+        self.sim.schedule(delay, self._complete, label=self._toggle_label)
 
     def _complete(self) -> None:
         """Finish the toggle: bill energy and flip the output."""

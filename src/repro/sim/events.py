@@ -4,10 +4,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
-
-from repro.errors import SchedulingError
+from typing import Any, Callable
 
 #: Monotonic tiebreaker so simultaneous events pop in scheduling order.
 _SEQUENCE = itertools.count()
@@ -28,46 +25,31 @@ class EventKind(enum.Enum):
     STOP = "stop"
 
 
-@dataclass(order=False)
 class Event:
     """One scheduled occurrence.
 
-    Events compare by ``(time, priority, sequence)`` so the queue is stable:
-    two events at the same instant fire in the order they were scheduled
-    unless their priorities differ (lower priority value fires first).
+    The queue orders events by ``(time, priority, sequence)`` so it is
+    stable: two events at the same instant fire in the order they were
+    scheduled unless their priorities differ (lower priority value fires
+    first).  The event itself is a plain record; the
+    :class:`~repro.sim.simulator.Simulator` validates *time* once, when the
+    event is scheduled.
     """
 
-    time: float
-    action: Callable[[], None]
-    kind: EventKind = EventKind.CALLBACK
-    priority: int = 0
-    label: str = ""
-    payload: Any = None
-    cancelled: bool = False
-    sequence: int = field(default_factory=lambda: next(_SEQUENCE))
+    __slots__ = ("time", "action", "kind", "priority", "label", "payload",
+                 "cancelled", "sequence")
 
-    def __post_init__(self) -> None:
-        if self.time < 0:
-            raise SchedulingError(f"event time must be non-negative, got {self.time}")
-        if not callable(self.action):
-            raise SchedulingError("event action must be callable")
-
-    # Explicit comparison methods (rather than dataclass order=True) so that
-    # the callable/payload fields never participate in comparisons.
-    def _key(self) -> tuple:
-        return (self.time, self.priority, self.sequence)
-
-    def __lt__(self, other: "Event") -> bool:
-        return self._key() < other._key()
-
-    def __le__(self, other: "Event") -> bool:
-        return self._key() <= other._key()
-
-    def __gt__(self, other: "Event") -> bool:
-        return self._key() > other._key()
-
-    def __ge__(self, other: "Event") -> bool:
-        return self._key() >= other._key()
+    def __init__(self, time: float, action: Callable[[], None],
+                 kind: EventKind = EventKind.CALLBACK, priority: int = 0,
+                 label: str = "", payload: Any = None) -> None:
+        self.time = time
+        self.action = action
+        self.kind = kind
+        self.priority = priority
+        self.label = label
+        self.payload = payload
+        self.cancelled = False
+        self.sequence = next(_SEQUENCE)
 
     def cancel(self) -> None:
         """Mark the event as cancelled; the kernel skips cancelled events.

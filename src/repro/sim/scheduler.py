@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import heapq
-from typing import Iterator, List, Optional
+from typing import Iterator, List, Optional, Tuple
 
 from repro.errors import SchedulingError
 from repro.sim.events import Event
+
+#: One heap entry: ``(time, priority, sequence, event)``.  The sequence is
+#: unique, so tuple comparison never reaches the event itself.
+_Entry = Tuple[float, int, int, Event]
 
 
 class EventQueue:
@@ -14,12 +18,18 @@ class EventQueue:
 
     The kernel only ever needs three operations — push, pop-earliest and
     peek-earliest-time — so a plain :mod:`heapq` is both the simplest and the
-    fastest structure available in pure Python.  Cancelled events stay in the
+    fastest structure available in pure Python.  Entries are
+    ``(time, priority, sequence, event)`` tuples, compared in C rather than
+    through Python-level comparison methods.  Cancelled events stay in the
     heap and are discarded when they surface, which keeps cancellation O(1).
+
+    The queue trusts its times: the :class:`~repro.sim.simulator.Simulator`
+    rejects negative, NaN and infinite times before pushing, since a NaN
+    key would silently corrupt the heap order.
     """
 
     def __init__(self) -> None:
-        self._heap: List[Event] = []
+        self._heap: List[_Entry] = []
         self._pushed = 0
         self._popped = 0
 
@@ -33,7 +43,7 @@ class EventQueue:
 
     def __iter__(self) -> Iterator[Event]:
         """Iterate over pending (non-cancelled) events in arbitrary order."""
-        return (event for event in self._heap if not event.cancelled)
+        return (entry[3] for entry in self._heap if not entry[3].cancelled)
 
     @property
     def pushed_count(self) -> int:
@@ -49,7 +59,8 @@ class EventQueue:
 
     def push(self, event: Event) -> Event:
         """Insert *event* and return it (for convenient chaining)."""
-        heapq.heappush(self._heap, event)
+        heapq.heappush(self._heap,
+                       (event.time, event.priority, event.sequence, event))
         self._pushed += 1
         return event
 
@@ -60,7 +71,7 @@ class EventQueue:
         :class:`~repro.errors.SchedulingError` when the queue is empty.
         """
         while self._heap:
-            event = heapq.heappop(self._heap)
+            event = heapq.heappop(self._heap)[3]
             if event.cancelled:
                 continue
             self._popped += 1
@@ -69,11 +80,11 @@ class EventQueue:
 
     def peek_time(self) -> Optional[float]:
         """Time of the earliest pending event, or ``None`` if the queue is empty."""
-        while self._heap and self._heap[0].cancelled:
+        while self._heap and self._heap[0][3].cancelled:
             heapq.heappop(self._heap)
         if not self._heap:
             return None
-        return self._heap[0].time
+        return self._heap[0][0]
 
     def clear(self) -> None:
         """Drop every pending event."""
@@ -86,6 +97,7 @@ class EventQueue:
         would otherwise accumulate; the kernel calls it opportunistically.
         """
         before = len(self._heap)
-        self._heap = [event for event in self._heap if not event.cancelled]
+        # In place: the simulator's run loop holds a reference to the list.
+        self._heap[:] = [entry for entry in self._heap if not entry[3].cancelled]
         heapq.heapify(self._heap)
         return before - len(self._heap)

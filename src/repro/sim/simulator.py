@@ -17,13 +17,14 @@ order), so a simulation is a pure function of its inputs and seeds.
 
 from __future__ import annotations
 
+import heapq
+import math
 from typing import Callable, List, Optional
 
 from repro.errors import DeadlockError, SchedulingError, SimulationError
 from repro.sim.events import Event, EventKind
 from repro.sim.scheduler import EventQueue
 from repro.sim.signals import Signal
-
 
 class Simulator:
     """Event-driven simulation kernel.
@@ -83,22 +84,26 @@ class Simulator:
                  kind: EventKind = EventKind.CALLBACK, priority: int = 0,
                  label: str = "") -> Event:
         """Schedule *action* to run *delay* seconds from now."""
-        if delay < 0:
-            raise SchedulingError(f"cannot schedule into the past (delay={delay})")
-        return self.schedule_at(self._now + delay, action, kind=kind,
-                                priority=priority, label=label)
+        if not 0.0 <= delay < math.inf:  # also rejects NaN
+            raise SchedulingError(
+                f"delay must be finite and non-negative, got {delay}")
+        return self._push(self._now + delay, action, kind, priority, label)
 
     def schedule_at(self, time: float, action: Callable[[], None], *,
                     kind: EventKind = EventKind.CALLBACK, priority: int = 0,
                     label: str = "") -> Event:
         """Schedule *action* at absolute simulation *time*."""
-        if time < self._now:
+        if not self._now <= time < math.inf:  # also rejects NaN
             raise SchedulingError(
-                f"cannot schedule at {time} (now is {self._now})"
-            )
-        event = Event(time=time, action=action, kind=kind, priority=priority,
-                      label=label)
-        return self._queue.push(event)
+                f"cannot schedule at {time} (now is {self._now})")
+        return self._push(time, action, kind, priority, label)
+
+    def _push(self, time: float, action: Callable[[], None], kind: EventKind,
+              priority: int, label: str) -> Event:
+        """Queue an event at an already validated *time*."""
+        if not callable(action):
+            raise SchedulingError("event action must be callable")
+        return self._queue.push(Event(time, action, kind, priority, label))
 
     def schedule_signal(self, signal: Signal, value: bool, delay: float, *,
                         label: str = "") -> Event:
@@ -151,23 +156,55 @@ class Simulator:
         scheduled exactly at *until* are executed; later ones are left
         pending so the simulation can be resumed.
         """
-        if until is not None and until < self._now:
+        if until is not None and not until >= self._now:
             raise SchedulingError(f"until={until} is in the past (now={self._now})")
         self._stopped = False
-        while self._queue and not self._stopped:
-            next_time = self._queue.peek_time()
-            if next_time is None:
-                break
-            if until is not None and next_time > until:
-                self._now = until
-                return self._now
-            self.step()
+        if until is None and self.trace is None:
+            self._drain()
+        else:
+            while self._queue and not self._stopped:
+                next_time = self._queue.peek_time()
+                if next_time is None:
+                    break
+                if until is not None and next_time > until:
+                    self._now = until
+                    return self._now
+                self.step()
         if not self._queue:
             for hook in tuple(self._idle_hooks):
                 hook(self._now)
         if until is not None and not self._stopped:
             self._now = max(self._now, until)
         return self._now
+
+    def _drain(self) -> None:
+        """Pop and fire events until the queue drains or :meth:`stop`.
+
+        The hot loop of :meth:`run` without *until* or *trace*: the same
+        order, clock, watchdog and stop semantics as repeated :meth:`step`
+        calls, without their per-event checks and calls.  Times need no
+        staleness check here because scheduling never accepts a time
+        before :attr:`now`.
+        """
+        queue = self._queue
+        heap = queue._heap
+        pop = heapq.heappop
+        fired_before = self._fired
+        try:
+            while heap and not self._stopped:
+                time, _, _, event = pop(heap)
+                if event.cancelled:
+                    continue
+                self._now = time
+                self._fired += 1
+                if self._fired > self.max_events:
+                    raise SimulationError(
+                        f"exceeded max_events={self.max_events}; "
+                        "the circuit is probably livelocked"
+                    )
+                event.action()
+        finally:
+            queue._popped += self._fired - fired_before
 
     def run_until_idle(self, max_time: Optional[float] = None) -> float:
         """Run until no events remain; optionally bounded by *max_time*.

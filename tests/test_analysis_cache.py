@@ -7,11 +7,13 @@ version salt (i.e. to any library source file) invalidates everything.
 """
 
 import json
+import threading
 
 import pytest
 
 from repro.analysis.cache import (
     CACHE_MODES,
+    LocalFSStore,
     ResultCache,
     StoredObject,
     callable_fingerprint,
@@ -112,6 +114,47 @@ class TestStoreContract:
         assert raw_store.delete("contract/a")
         assert not raw_store.delete("contract/a")
         assert raw_store.get("contract/a") is None
+
+
+class TestLocalFSConcurrentWrites:
+    """Threads of one process writing one key must not share a staging file."""
+
+    THREADS = 8
+
+    def test_concurrent_put_atomic_of_one_key(self, tmp_path):
+        store = LocalFSStore(tmp_path)
+        payloads = [f"payload-{i}".encode() * 64 for i in range(self.THREADS)]
+        for round_ in range(20):
+            key = f"technology/k{round_}.pkl"
+            barrier = threading.Barrier(self.THREADS)
+            errors = []
+
+            def write(data):
+                barrier.wait()
+                try:
+                    store.put_atomic(key, data)
+                except Exception as exc:  # collected, asserted below
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=write, args=(data,))
+                       for data in payloads]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            assert errors == []
+            assert store.get(key).data in payloads
+        written = sorted(p.name for p in (tmp_path / "technology").iterdir())
+        assert written == sorted(f"k{i}.pkl" for i in range(20))  # no staging
+
+    def test_list_hides_staging_files(self, tmp_path):
+        store = LocalFSStore(tmp_path)
+        store.put_atomic("results/a.json", b"{}")
+        for staging in ("a.json.tmp4711", "a.json.tmp0123456789abcdef",
+                        "a.json.claim0123456789abcdef"):
+            (tmp_path / "results" / staging).write_bytes(b"partial")
+        assert [info.key for info in store.list("results/")] == \
+            ["results/a.json"]
 
 
 class TestContentKeys:

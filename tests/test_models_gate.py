@@ -1,11 +1,17 @@
 """Tests for the voltage-aware gate delay/energy model."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.analysis.cache import stable_repr
 from repro.errors import ModelError
 from repro.models.gate import GateModel, GateType
-from repro.models.technology import get_technology
+from repro.models.mosfet import MosfetModel, _softplus
+from repro.models.technology import TECHNOLOGIES, get_technology
+from repro.models.variation import Corner, ProcessVariation
+from repro.units import thermal_voltage
 
 
 @pytest.fixture(scope="module")
@@ -104,3 +110,117 @@ def test_gate_delay_energy_always_positive_property(vdd):
     assert gate.delay(vdd) > 0
     assert gate.transition_energy(vdd) > 0
     assert gate.leakage_power(vdd) > 0
+
+
+# ---------------------------------------------------------------------------
+# Construction-time constants: the models compute their reference current,
+# n·Ut, effective Vth and capacitances once in __post_init__.  These are the
+# per-call expressions they replaced, kept verbatim so the memoised values
+# can be compared with ``==`` rather than approx.
+
+
+def _reference_on_current(tech, width_um, vth_offset, drive_derating, vgs):
+    n_ut = tech.subthreshold_slope_factor * thermal_voltage(tech.temperature_k)
+
+    def inversion_charge(effective_vth, v):
+        return _softplus((v - effective_vth) / n_ut) ** tech.alpha
+
+    reference = inversion_charge(tech.vth + 0.0, tech.vdd_nominal)
+    scale = tech.i_on_per_um * width_um * drive_derating / reference
+    return scale * inversion_charge(tech.vth + vth_offset, vgs)
+
+
+def _reference_leakage(tech, width_um, vth_offset, vdd):
+    ut = thermal_voltage(tech.temperature_k)
+    n_ut = tech.subthreshold_slope_factor * ut
+    exponent = (0.08 * (vdd - tech.vdd_nominal) - vth_offset) / n_ut
+    return tech.i_leak_per_um * width_um * math.exp(exponent)
+
+
+def _reference_load(gate, external_load):
+    tech = gate.technology
+    if external_load is None:
+        external_load = (tech.unit_inverter_input_cap
+                         * gate.gate_type.logical_effort * gate.drive_strength)
+    parasitic = (tech.unit_inverter_output_cap * gate.gate_type.parasitic
+                 * gate.drive_strength)
+    return parasitic + external_load
+
+
+def _reference_delay(gate, vdd, external_load):
+    width = gate.technology.min_width_um * 3.0 * gate.drive_strength
+    current = _reference_on_current(gate.technology, width, gate.vth_offset,
+                                    gate.drive_derating, vdd)
+    return _reference_load(gate, external_load) * vdd / (2.0 * current)
+
+
+def _reference_transition_energy(gate, vdd, external_load):
+    load = _reference_load(gate, external_load)
+    switching = 0.5 * load * vdd * vdd * gate.activity_factor
+    short = (0.0 if vdd <= gate.technology.vth
+             else 0.10 * (0.5 * load * vdd * vdd * gate.activity_factor))
+    return switching + short
+
+
+def _varied_technologies():
+    """Built-in technologies plus seeded process-variation samples of each."""
+    techs = list(TECHNOLOGIES.values())
+    for seed, corner in enumerate((Corner.TYPICAL, Corner.SLOW, Corner.FAST)):
+        variation = ProcessVariation(corner=corner, seed=seed)
+        techs.extend(variation.apply_to(base) for base in TECHNOLOGIES.values())
+    return techs
+
+
+VOLTAGES = (0.2, 0.25, 0.33, 0.45, 0.7, 1.0, 1.3)
+
+
+class TestConstructionTimeConstants:
+    @pytest.mark.parametrize("tech_index", range(12))
+    def test_mosfet_matches_per_call_expressions(self, tech_index):
+        tech = _varied_technologies()[tech_index]
+        for width, offset, derating in ((1.0, 0.0, 1.0), (0.36, 0.031, 0.83),
+                                        (2.5, -0.02, 1.2)):
+            device = MosfetModel(tech, width_um=width, vth_offset=offset,
+                                 drive_derating=derating)
+            assert device.effective_vth == tech.vth + offset
+            for vgs in VOLTAGES:
+                assert device.on_current(vgs) == _reference_on_current(
+                    tech, width, offset, derating, vgs)
+                assert device.leakage_current(vgs) == _reference_leakage(
+                    tech, width, offset, vgs)
+
+    @pytest.mark.parametrize("tech_index", range(12))
+    def test_gate_matches_per_call_expressions(self, tech_index):
+        tech = _varied_technologies()[tech_index]
+        gates = [
+            GateModel(technology=tech),
+            GateModel(technology=tech, gate_type=GateType.TOGGLE),
+            GateModel(technology=tech, gate_type=GateType.C_ELEMENT,
+                      drive_strength=2.7, vth_offset=0.024,
+                      drive_derating=0.9, activity_factor=0.6),
+            GateModel(technology=tech, gate_type=GateType.XOR2,
+                      drive_strength=0.5, vth_offset=-0.015),
+        ]
+        for gate in gates:
+            assert gate.total_load(gate.input_capacitance) == \
+                _reference_load(gate, None)
+            for load in (None, 0.0, 3.3e-15, 42e-15):
+                for vdd in VOLTAGES:
+                    if vdd < tech.vdd_min:
+                        continue
+                    assert gate.delay(vdd, load) == _reference_delay(
+                        gate, vdd, load)
+                    assert gate.transition_energy(vdd, load) == \
+                        _reference_transition_energy(gate, vdd, load)
+
+    def test_constants_stay_out_of_equality_and_stable_repr(self, tech):
+        gate = GateModel(technology=tech, gate_type=GateType.TOGGLE,
+                         drive_strength=2.0)
+        twin = GateModel(technology=tech, gate_type=GateType.TOGGLE,
+                         drive_strength=2.0)
+        assert gate == twin
+        text = stable_repr(gate) + stable_repr(MosfetModel(tech))
+        assert stable_repr(gate) == stable_repr(twin)
+        for constant in ("_cin", "_cp=", "_default_load", "_scale", "_n_ut",
+                         "_vth="):
+            assert constant not in text

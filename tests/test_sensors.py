@@ -3,11 +3,13 @@
 import pytest
 
 from repro.errors import CalibrationError, ConfigurationError, SensorError
-from repro.power.supply import ConstantSupply
+from repro.models.technology import get_technology
+from repro.power.supply import ACSupply, ConstantSupply
 from repro.sensors.calibration import CalibrationTable, build_calibration
 from repro.sensors.charge_to_digital import ChargeToDigitalConverter
 from repro.sensors.reference_free import ReferenceFreeVoltageSensor
 from repro.sensors.ring_oscillator import RingOscillatorSensor
+from repro.selftimed.counter import run_dualrail_scenario
 from repro.analysis.metrics import monotonicity_violations
 
 
@@ -126,6 +128,49 @@ class TestChargeToDigitalConverter:
     def test_energy_per_conversion_is_small(self, converter):
         # Only the sampling charge is taken from the measured node.
         assert converter.energy_per_conversion(1.0) < 100e-12
+
+
+class TestEventPathBitIdentity:
+    """Exact pins on the event-driven conversion and dual-rail counter.
+
+    The Fig. 11 goldens check charge and time only to ``rel=1e-4``; these
+    pin every float of a conversion to the last bit (``float.hex``), so a
+    refactor of the device models or the event kernel that reorders a
+    single floating-point operation fails here.
+    """
+
+    #: (technology, sampled V) -> (count, final_voltage, conversion_time,
+    #: charge_consumed, energy_consumed) of a 10 pF / 16-bit conversion.
+    PINS = {
+        ("cmos90", 0.3): (1285, "0x1.1eae3baf85d66p-3", "0x1.60f77bf0e95b1p-15", "0x1.c26a038389cacp-40", "0x1.8c656e1fe3c31p-42"),
+        ("cmos90", 0.5): (2077, "0x1.1eadac5d63910p-3", "0x1.6334ff1acab80p-15", "0x1.faaefc51e8223p-39", "0x1.444f580846943p-40"),
+        ("cmos90", 0.8): (2798, "0x1.1eaffd49f18d8p-3", "0x1.6594cdeca8bf4p-15", "0x1.d071e47cf4944p-38", "0x1.b4a12e5b4647ep-39"),
+        ("cmos65", 0.3): (2349, "0x1.0a3cc9b5824c7p-3", "0x1.3b860940e8f44p-16", "0x1.de82ce5a7eec4p-40", "0x1.9b8c80aa9b820p-42"),
+        ("cmos65", 0.5): (3652, "0x1.0a381cf1512a0p-3", "0x1.3e69b6eb3803ep-16", "0x1.045f1ad4be072p-38", "0x1.4816c06eebf1ep-40"),
+        ("cmos65", 0.8): (4852, "0x1.0a3cf7a606cbfp-3", "0x1.3f64cafa31d71p-16", "0x1.d778a1e553f27p-38", "0x1.b680d7e6fced7p-39"),
+        ("cmos180", 0.3): (193, "0x1.99627945e9235p-3", "0x1.e24860d5a7a8bp-8", "0x1.19c55be87b044p-40", "0x1.19d6563e544f9p-42"),
+        ("cmos180", 0.5): (427, "0x1.993ef33c2a669p-3", "0x1.debdade0b89ccp-8", "0x1.a674af67349f6p-39", "0x1.27c7e4f78f766p-40"),
+        ("cmos180", 0.8): (626, "0x1.99673d97bfffdp-3", "0x1.dd4d7c8a0b254p-8", "0x1.a647b1c540a57p-38", "0x1.a6710a4a66cc6p-39"),
+    }
+
+    @pytest.mark.parametrize("name,voltage", sorted(PINS))
+    def test_conversion_is_bit_identical(self, name, voltage):
+        converter = ChargeToDigitalConverter(
+            technology=get_technology(name), sampling_capacitance=10e-12)
+        result = converter.convert(ConstantSupply(voltage))
+        observed = (result.count, result.final_voltage.hex(),
+                    result.conversion_time.hex(),
+                    result.charge_consumed.hex(),
+                    result.energy_consumed.hex())
+        assert observed == self.PINS[(name, voltage)]
+
+    def test_fig04_ac_run_is_bit_identical(self, tech):
+        supply = ACSupply(offset=0.2, amplitude=0.1, frequency=1e6)
+        run = run_dualrail_scenario(tech, supply, 12)
+        assert run.values_emitted == [1, 2, 3, 0] * 3
+        assert run.stall_count == 0
+        assert run.finish_time.hex() == "0x1.3c0a6c339aff8p-23"
+        assert run.energy.hex() == "0x1.4bbd42235e60fp-47"
 
 
 class TestReferenceFreeVoltageSensor:

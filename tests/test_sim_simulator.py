@@ -127,3 +127,135 @@ class TestHooks:
         sim.schedule(2.0, lambda: None, label="y")
         sim.run()
         assert traced == ["x", "y"]
+
+
+class TestTimeValidation:
+    """NaN or infinite times would corrupt the heap order; reject them."""
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_schedule_rejects_non_finite_delays(self, bad):
+        sim = Simulator()
+        with pytest.raises(SchedulingError):
+            sim.schedule(bad, lambda: None)
+        assert sim.pending_events == 0
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_schedule_at_rejects_non_finite_times(self, bad):
+        sim = Simulator()
+        with pytest.raises(SchedulingError):
+            sim.schedule_at(bad, lambda: None)
+        assert sim.pending_events == 0
+
+    def test_run_rejects_nan_until(self):
+        sim = Simulator()
+        sim.schedule(1.0, lambda: None)
+        with pytest.raises(SchedulingError):
+            sim.run(until=float("nan"))
+
+    def test_non_callable_action_rejected(self):
+        with pytest.raises(SchedulingError):
+            Simulator().schedule(1.0, "not callable")
+
+
+def _trace_run(sim, fired, until=None):
+    """Run *sim* through the general (traced) loop, recording labels."""
+    sim.trace = lambda event: fired.append(event.label)
+    try:
+        return sim.run(until=until)
+    finally:
+        sim.trace = None
+
+
+class TestKernelContract:
+    """The fast drain loop and the general loop obey one contract."""
+
+    @staticmethod
+    def _schedule_ties(sim, fired):
+        # Equal times, mixed priorities: fire in (priority, scheduling order).
+        for label, priority in (("a", 0), ("b", 1), ("c", -1), ("d", 0),
+                                ("e", -1)):
+            sim.schedule(1.0, lambda label=label: fired.append(label),
+                         priority=priority, label=label)
+        sim.schedule(0.5, lambda: fired.append("early"), label="early")
+
+    def test_equal_times_fire_by_priority_then_scheduling_order(self):
+        fast_order, traced_order, labels = [], [], []
+        fast = Simulator()
+        self._schedule_ties(fast, fast_order)
+        fast.run()
+        traced = Simulator()
+        self._schedule_ties(traced, traced_order)
+        _trace_run(traced, labels)
+        expected = ["early", "c", "e", "a", "d", "b"]
+        assert fast_order == traced_order == labels == expected
+
+    def test_cancelled_events_are_skipped(self):
+        sim = Simulator()
+        fired = []
+        keep = sim.schedule(1.0, lambda: fired.append("keep"))
+        drop = sim.schedule(2.0, lambda: fired.append("drop"))
+        late = sim.schedule(3.0, lambda: fired.append("late"))
+        drop.cancel()
+        sim.schedule(1.5, late.cancel)
+        sim.run()
+        assert fired == ["keep"]
+        assert keep.cancelled is False
+        assert sim.fired_events == 2
+        assert sim.now == 1.5
+
+    def test_cancelled_events_beyond_until_leave_nothing_pending(self):
+        sim = Simulator()
+        sim.schedule(1.0, lambda: None)
+        sim.schedule(5.0, lambda: None).cancel()
+        assert sim.run_until_idle(max_time=2.0) == 2.0
+
+    def test_max_events_raises_from_the_fast_loop(self):
+        sim = Simulator(max_events=25)
+
+        def reschedule():
+            sim.schedule(1.0, reschedule)
+
+        sim.schedule(1.0, reschedule)
+        with pytest.raises(SimulationError, match="max_events=25"):
+            sim.run()
+        assert sim.fired_events == 26
+        assert sim.now == 26.0
+        assert sim._queue.popped_count == 26
+
+    def test_stop_inside_the_fast_loop_leaves_the_rest_pending(self):
+        sim = Simulator()
+        idle = []
+        sim.call_when_idle(idle.append)
+        sim.schedule(1.0, sim.stop)
+        sim.schedule(1.0, lambda: None)
+        assert sim.run() == 1.0
+        assert sim.stopped and sim.pending_events == 1 and idle == []
+        sim.run()
+        assert idle == [1.0]
+
+    def test_trace_sees_every_event_and_until_resumes(self):
+        def build():
+            sim = Simulator()
+            seen = []
+
+            def chain(i):
+                seen.append(i)
+                if i < 9:
+                    sim.schedule(0.25, lambda: chain(i + 1), label=f"c{i + 1}")
+
+            sim.schedule(0.25, lambda: chain(0), label="c0")
+            return sim, seen
+
+        reference, reference_seen = build()
+        reference.run()
+        sim, seen = build()
+        labels = []
+        assert _trace_run(sim, labels, until=1.0) == 1.0
+        assert labels == ["c0", "c1", "c2", "c3"]
+        assert sim.pending_events == 1
+        _trace_run(sim, labels, until=1.6)
+        sim.run()
+        assert labels == [f"c{i}" for i in range(6)]
+        assert seen == reference_seen == list(range(10))
+        assert sim.now == reference.now == 2.5
+        assert sim.fired_events == reference.fired_events == 10
