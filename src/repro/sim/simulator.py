@@ -26,6 +26,7 @@ from repro.sim.events import Event, EventKind
 from repro.sim.scheduler import EventQueue
 from repro.sim.signals import Signal
 
+
 class Simulator:
     """Event-driven simulation kernel.
 
@@ -140,10 +141,7 @@ class Simulator:
         self._now = event.time
         self._fired += 1
         if self._fired > self.max_events:
-            raise SimulationError(
-                f"exceeded max_events={self.max_events}; "
-                "the circuit is probably livelocked"
-            )
+            raise self._livelock()
         event.fire()
         if self.trace is not None:
             self.trace(event)
@@ -184,7 +182,8 @@ class Simulator:
         order, clock, watchdog and stop semantics as repeated :meth:`step`
         calls, without their per-event checks and calls.  Times need no
         staleness check here because scheduling never accepts a time
-        before :attr:`now`.
+        before :attr:`now`.  The simulator owns its queue, so it pops the
+        heap directly and settles the queue's pop count on the way out.
         """
         queue = self._queue
         heap = queue._heap
@@ -198,13 +197,14 @@ class Simulator:
                 self._now = time
                 self._fired += 1
                 if self._fired > self.max_events:
-                    raise SimulationError(
-                        f"exceeded max_events={self.max_events}; "
-                        "the circuit is probably livelocked"
-                    )
+                    raise self._livelock()
                 event.action()
         finally:
             queue._popped += self._fired - fired_before
+
+    def _livelock(self) -> SimulationError:
+        return SimulationError(f"exceeded max_events={self.max_events}; "
+                               "the circuit is probably livelocked")
 
     def run_until_idle(self, max_time: Optional[float] = None) -> float:
         """Run until no events remain; optionally bounded by *max_time*.
