@@ -209,9 +209,11 @@ class GateModel:
         Modelled as a fixed 10 % of the switching energy above threshold and
         zero below it (both devices can no longer conduct strongly at once).
         """
-        if vdd <= self.technology.vth:
-            return 0.0
-        return 0.10 * self.switching_energy(vdd, external_load)
+        return self._short_circuit(vdd, self.switching_energy(vdd, external_load))
+
+    def _short_circuit(self, vdd: float, switching: float) -> float:
+        """The crowbar model given the switching energy at *vdd*."""
+        return 0.0 if vdd <= self.technology.vth else 0.10 * switching
 
     def leakage_power(self, vdd: float) -> float:
         """Static power in watts burned while the gate is idle at *vdd*."""
@@ -222,9 +224,7 @@ class GateModel:
                           external_load: Optional[float] = None) -> float:
         """Total dynamic energy (switching + short-circuit) per transition."""
         switching = self.switching_energy(vdd, external_load)
-        if vdd <= self.technology.vth:
-            return switching
-        return switching + 0.10 * switching
+        return switching + self._short_circuit(vdd, switching)
 
     def transition_charge(self, vdd: float,
                           external_load: Optional[float] = None) -> float:

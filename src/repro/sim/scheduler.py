@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import heapq
+from heapq import heapify, heappop, heappush
 from typing import Iterator, List, Optional, Tuple
 
-from repro.errors import SchedulingError
 from repro.sim.events import Event
 
 #: One heap entry: ``(time, priority, sequence, event)``.  The sequence is
@@ -16,12 +15,13 @@ _Entry = Tuple[float, int, int, Event]
 class EventQueue:
     """A binary-heap event queue with lazy deletion of cancelled events.
 
-    The kernel only ever needs three operations — push, pop-earliest and
-    peek-earliest-time — so a plain :mod:`heapq` is both the simplest and the
+    The kernel only ever needs two operations — push and pop-earliest (up
+    to a time bound) — so a plain :mod:`heapq` is both the simplest and the
     fastest structure available in pure Python.  Entries are
     ``(time, priority, sequence, event)`` tuples, compared in C rather than
-    through Python-level comparison methods.  Cancelled events stay in the
-    heap and are discarded when they surface, which keeps cancellation O(1).
+    through Python-level comparison methods; the entry format is private to
+    this class.  Cancelled events stay in the heap and are discarded when
+    they surface, which keeps cancellation O(1).
 
     The queue trusts its times: the :class:`~repro.sim.simulator.Simulator`
     rejects negative, NaN and infinite times before pushing, since a NaN
@@ -59,29 +59,37 @@ class EventQueue:
 
     def push(self, event: Event) -> Event:
         """Insert *event* and return it (for convenient chaining)."""
-        heapq.heappush(self._heap,
-                       (event.time, event.priority, event.sequence, event))
+        heappush(self._heap,
+                 (event.time, event.priority, event.sequence, event))
         self._pushed += 1
         return event
 
-    def pop(self) -> Event:
+    def pop(self, until: Optional[float] = None) -> Optional[Event]:
         """Remove and return the earliest pending event.
 
-        Cancelled events are silently discarded.  Raises
-        :class:`~repro.errors.SchedulingError` when the queue is empty.
+        Returns ``None`` when no event is pending, or when the earliest one
+        is later than *until*; that event then stays queued.  Cancelled
+        events are silently discarded on the way.
         """
-        while self._heap:
-            event = heapq.heappop(self._heap)[3]
+        heap = self._heap
+        while heap:
+            entry = heappop(heap)
+            event = entry[3]
             if event.cancelled:
                 continue
+            if until is not None and entry[0] > until:
+                # Keys are unique, so pushing the entry back restores the
+                # exact pop order.
+                heappush(heap, entry)
+                return None
             self._popped += 1
             return event
-        raise SchedulingError("pop from an empty event queue")
+        return None
 
     def peek_time(self) -> Optional[float]:
         """Time of the earliest pending event, or ``None`` if the queue is empty."""
         while self._heap and self._heap[0][3].cancelled:
-            heapq.heappop(self._heap)
+            heappop(self._heap)
         if not self._heap:
             return None
         return self._heap[0][0]
@@ -94,10 +102,9 @@ class EventQueue:
         """Physically remove cancelled events; returns how many were removed.
 
         Only useful for extremely long simulations where cancelled events
-        would otherwise accumulate; the kernel calls it opportunistically.
+        would otherwise accumulate; the kernel itself never calls it.
         """
         before = len(self._heap)
-        # In place: the simulator's run loop holds a reference to the list.
-        self._heap[:] = [entry for entry in self._heap if not entry[3].cancelled]
-        heapq.heapify(self._heap)
+        self._heap = [entry for entry in self._heap if not entry[3].cancelled]
+        heapify(self._heap)
         return before - len(self._heap)

@@ -17,7 +17,6 @@ order), so a simulation is a pure function of its inputs and seeds.
 
 from __future__ import annotations
 
-import heapq
 import math
 from typing import Callable, List, Optional
 
@@ -131,9 +130,9 @@ class Simulator:
 
     def step(self) -> Event:
         """Fire exactly one pending event and return it."""
-        if not self._queue:
-            raise DeadlockError("no pending events to step")
         event = self._queue.pop()
+        if event is None:
+            raise DeadlockError("no pending events to step")
         if event.time < self._now:
             raise SimulationError(
                 f"event queue returned a stale event ({event.time} < {self._now})"
@@ -142,7 +141,7 @@ class Simulator:
         self._fired += 1
         if self._fired > self.max_events:
             raise self._livelock()
-        event.fire()
+        event.action()
         if self.trace is not None:
             self.trace(event)
         return event
@@ -153,54 +152,33 @@ class Simulator:
         Returns the simulation time at which the run stopped.  Events
         scheduled exactly at *until* are executed; later ones are left
         pending so the simulation can be resumed.
+
+        This loop is the cost of every simulated event, so it does only
+        what :meth:`step` does, minus the staleness check: scheduling never
+        accepts a time before :attr:`now`.
         """
         if until is not None and not until >= self._now:
             raise SchedulingError(f"until={until} is in the past (now={self._now})")
         self._stopped = False
-        if until is None and self.trace is None:
-            self._drain()
-        else:
-            while self._queue and not self._stopped:
-                next_time = self._queue.peek_time()
-                if next_time is None:
-                    break
-                if until is not None and next_time > until:
-                    self._now = until
-                    return self._now
-                self.step()
+        pop = self._queue.pop
+        trace = self.trace
+        while not self._stopped:
+            event = pop(until)
+            if event is None:
+                break
+            self._now = event.time
+            self._fired += 1
+            if self._fired > self.max_events:
+                raise self._livelock()
+            event.action()
+            if trace is not None:
+                trace(event)
         if not self._queue:
             for hook in tuple(self._idle_hooks):
                 hook(self._now)
         if until is not None and not self._stopped:
             self._now = max(self._now, until)
         return self._now
-
-    def _drain(self) -> None:
-        """Pop and fire events until the queue drains or :meth:`stop`.
-
-        The hot loop of :meth:`run` without *until* or *trace*: the same
-        order, clock, watchdog and stop semantics as repeated :meth:`step`
-        calls, without their per-event checks and calls.  Times need no
-        staleness check here because scheduling never accepts a time
-        before :attr:`now`.  The simulator owns its queue, so it pops the
-        heap directly and settles the queue's pop count on the way out.
-        """
-        queue = self._queue
-        heap = queue._heap
-        pop = heapq.heappop
-        fired_before = self._fired
-        try:
-            while heap and not self._stopped:
-                time, _, _, event = pop(heap)
-                if event.cancelled:
-                    continue
-                self._now = time
-                self._fired += 1
-                if self._fired > self.max_events:
-                    raise self._livelock()
-                event.action()
-        finally:
-            queue._popped += self._fired - fired_before
 
     def _livelock(self) -> SimulationError:
         return SimulationError(f"exceeded max_events={self.max_events}; "

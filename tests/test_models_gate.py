@@ -212,6 +212,9 @@ class TestConstructionTimeConstants:
                         gate, vdd, load)
                     assert gate.transition_energy(vdd, load) == \
                         _reference_transition_energy(gate, vdd, load)
+                    assert gate.transition_energy(vdd, load) == (
+                        gate.switching_energy(vdd, load)
+                        + gate.short_circuit_energy(vdd, load))
 
     def test_constants_stay_out_of_equality_and_stable_repr(self, tech):
         gate = GateModel(technology=tech, gate_type=GateType.TOGGLE,

@@ -74,6 +74,16 @@ class TestEventQueue:
         queue.push(Event(time=1.5, action=lambda: None))
         assert queue.peek_time() == 1.5
 
+    def test_pop_returns_none_when_empty_or_beyond_until(self):
+        queue = EventQueue()
+        assert queue.pop() is None
+        queue.push(Event(time=1.0, action=lambda: None, label="a"))
+        queue.push(Event(time=2.0, action=lambda: None, label="b"))
+        assert queue.pop(until=1.0).label == "a"
+        assert queue.pop(until=1.5) is None
+        assert len(queue) == 1 and queue.popped_count == 1
+        assert queue.pop(until=2.0).label == "b"
+
     def test_clear_empties_queue(self):
         queue = EventQueue()
         queue.push(Event(time=0.0, action=lambda: None))

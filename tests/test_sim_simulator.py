@@ -157,37 +157,19 @@ class TestTimeValidation:
             Simulator().schedule(1.0, "not callable")
 
 
-def _trace_run(sim, fired, until=None):
-    """Run *sim* through the general (traced) loop, recording labels."""
-    sim.trace = lambda event: fired.append(event.label)
-    try:
-        return sim.run(until=until)
-    finally:
-        sim.trace = None
-
-
 class TestKernelContract:
-    """The fast drain loop and the general loop obey one contract."""
+    """Ordering, cancellation, watchdog, stop and trace semantics of run()."""
 
-    @staticmethod
-    def _schedule_ties(sim, fired):
-        # Equal times, mixed priorities: fire in (priority, scheduling order).
+    def test_equal_times_fire_by_priority_then_scheduling_order(self):
+        fired, traced = [], []
+        sim = Simulator(trace=lambda event: traced.append(event.label))
         for label, priority in (("a", 0), ("b", 1), ("c", -1), ("d", 0),
                                 ("e", -1)):
             sim.schedule(1.0, lambda label=label: fired.append(label),
                          priority=priority, label=label)
         sim.schedule(0.5, lambda: fired.append("early"), label="early")
-
-    def test_equal_times_fire_by_priority_then_scheduling_order(self):
-        fast_order, traced_order, labels = [], [], []
-        fast = Simulator()
-        self._schedule_ties(fast, fast_order)
-        fast.run()
-        traced = Simulator()
-        self._schedule_ties(traced, traced_order)
-        _trace_run(traced, labels)
-        expected = ["early", "c", "e", "a", "d", "b"]
-        assert fast_order == traced_order == labels == expected
+        sim.run()
+        assert fired == traced == ["early", "c", "e", "a", "d", "b"]
 
     def test_cancelled_events_are_skipped(self):
         sim = Simulator()
@@ -209,7 +191,7 @@ class TestKernelContract:
         sim.schedule(5.0, lambda: None).cancel()
         assert sim.run_until_idle(max_time=2.0) == 2.0
 
-    def test_max_events_raises_from_the_fast_loop(self):
+    def test_max_events_raises_from_run(self):
         sim = Simulator(max_events=25)
 
         def reschedule():
@@ -220,9 +202,8 @@ class TestKernelContract:
             sim.run()
         assert sim.fired_events == 26
         assert sim.now == 26.0
-        assert sim._queue.popped_count == 26
 
-    def test_stop_inside_the_fast_loop_leaves_the_rest_pending(self):
+    def test_stop_leaves_the_rest_pending(self):
         sim = Simulator()
         idle = []
         sim.call_when_idle(idle.append)
@@ -250,12 +231,23 @@ class TestKernelContract:
         reference.run()
         sim, seen = build()
         labels = []
-        assert _trace_run(sim, labels, until=1.0) == 1.0
+        sim.trace = lambda event: labels.append(event.label)
+        assert sim.run(until=1.0) == 1.0
         assert labels == ["c0", "c1", "c2", "c3"]
         assert sim.pending_events == 1
-        _trace_run(sim, labels, until=1.6)
+        assert sim.run(until=1.6) == 1.6
+        sim.trace = None
         sim.run()
         assert labels == [f"c{i}" for i in range(6)]
         assert seen == reference_seen == list(range(10))
         assert sim.now == reference.now == 2.5
         assert sim.fired_events == reference.fired_events == 10
+
+    def test_step_skips_cancelled_events(self):
+        sim = Simulator()
+        sim.schedule(1.0, lambda: None, label="drop").cancel()
+        sim.schedule(2.0, lambda: None, label="keep")
+        assert sim.step().label == "keep"
+        sim.schedule(1.0, lambda: None).cancel()
+        with pytest.raises(DeadlockError):
+            sim.step()
