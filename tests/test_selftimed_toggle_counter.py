@@ -1,11 +1,16 @@
 """Tests for the toggle flip-flop and both self-timed counters."""
 
+import hashlib
+
 import pytest
 
-from repro.power.capacitor import Capacitor
+from repro.models.technology import get_technology
+from repro.power.capacitor import Capacitor, SamplingCapacitor
 from repro.power.supply import ACSupply, ConstantSupply
+from repro.sensors.charge_to_digital import ChargeToDigitalConverter
 from repro.selftimed.counter import DualRailCounter, SelfTimedCounter
 from repro.selftimed.toggle import ToggleFlipFlop
+from repro.sim.probes import EnergyProbe
 from repro.sim.signals import Signal
 from repro.sim.simulator import Simulator
 
@@ -108,6 +113,65 @@ class TestSelfTimedCounter:
         frozen = counter.pulses_generated
         sim.run()
         assert counter.pulses_generated == frozen
+
+
+def _digest(lines):
+    """SHA-256 of *lines* joined by newlines (a compact exact pin)."""
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+class TestOscillatorPins:
+    """Exact pins on the oscillator-mode counter, recorded on the
+    ToggleFlipFlop/Signal/Event implementation it replaced.
+
+    Every float is pinned through ``float.hex``: the energy probe's sample
+    stream of one conversion, and the recorded low-stage Q histories of a
+    conversion whose last pulse stalls mid-ripple (so the pulse count and
+    the counter value differ).
+    """
+
+    def test_energy_probe_stream_is_pinned(self):
+        converter = ChargeToDigitalConverter(
+            technology=get_technology("cmos180"), sampling_capacitance=10e-12)
+        probe = EnergyProbe()
+        result = converter.convert(ConstantSupply(0.3), energy_probe=probe)
+        assert (result.count, result.counter_value) == (193, 185)
+        assert len(probe.samples) == 764
+        assert _digest(f"{s.label} {s.time.hex()} {s.energy.hex()}"
+                       for s in probe.samples) == (
+            "6719dbec69e75ae02a93bf964e0938349425e473fe2c4beede083c330e125294")
+        assert {k: v.hex() for k, v in probe.by_label().items()} == {
+            "ctd.counter.osc": "0x1.a0fd7289ae70ap-46",
+            "ctd.counter.t0": "0x1.0534720d2e34cp-43",
+            "ctd.counter.t1": "0x1.035a2abce20cdp-44",
+            "ctd.counter.t2": "0x1.01ed7f579b8fep-45",
+            "ctd.counter.t3": "0x1.efdd96288a35dp-47",
+            "ctd.counter.t4": "0x1.d8a21bf79d649p-48",
+            "ctd.counter.t5": "0x1.aa5383154a276p-49",
+            "ctd.counter.t6": "0x1.50db6ed9c9e11p-50",
+            "ctd.counter.t7": "0x1.2227bd9e66a40p-51",
+        }
+        assert probe.total.hex() == "0x1.19d6563e544f9p-42"
+
+    def test_stalled_ripple_histories_are_pinned(self, tech180):
+        sim = Simulator()
+        cap = SamplingCapacitor(capacitance=10e-12,
+                                min_operating_voltage=tech180.vdd_min,
+                                name="ctd.csample")
+        cap.sample(ConstantSupply(0.3), 1e-6, time=0.0)
+        counter = SelfTimedCounter(sim, cap, tech180, name="ctd.counter",
+                                   width=16, max_pulses=(1 << 16) - 1)
+        counter.start_oscillator()
+        sim.run()
+        assert (counter.pulses_generated, counter.value()) == (193, 185)
+        assert sim.fired_events == 766
+        assert sim.now.hex() == "0x1.e24860d5a7a8bp-8"
+        histories = [counter.toggles[i].output.history for i in range(4)]
+        assert [len(h) for h in histories] == [194, 97, 49, 24]
+        assert _digest(f"{i} {t.hex()} {int(v)}"
+                       for i, history in enumerate(histories)
+                       for t, v in history) == (
+            "815f2801b5c7ebc5efa6b94484a3260f73df382bbe799ceac48349fe8ab322ed")
 
 
 def drive_dual_rail_counter(sim, counter, steps, handshake_gap=5e-9):
