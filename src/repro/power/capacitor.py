@@ -91,7 +91,8 @@ class Capacitor:
 
     def voltage(self, time: float) -> float:
         """Capacitor voltage at *time*, accounting for self-discharge."""
-        self._advance(time)
+        if time != self._last_update:  # same instant: _advance is a no-op
+            self._advance(time)
         return self._voltage
 
     def draw_charge(self, charge: float, time: float) -> None:
@@ -102,7 +103,8 @@ class Capacitor:
         """
         if charge < 0:
             raise PowerError("negative charge draw")
-        self._advance(time)
+        if time != self._last_update:
+            self._advance(time)
         if self._voltage <= self.min_operating_voltage:
             raise SupplyCollapseError(
                 f"capacitor {self.name!r} at {self._voltage:.4f} V is below its "

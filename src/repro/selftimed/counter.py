@@ -16,24 +16,57 @@ Two counters appear in the paper:
 
 from __future__ import annotations
 
+import itertools
+import math
+import sys
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, List, Optional
+from heapq import heappop, heappush
+from typing import Callable, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, SupplyCollapseError
 from repro.models.gate import GateModel, GateType
 from repro.models.technology import Technology
+from repro.sim.events import Event
 from repro.sim.probes import EnergyProbe
-from repro.sim.signals import Signal, vector_value
+from repro.sim.signals import Signal
 from repro.sim.simulator import Simulator
 from repro.selftimed.completion import CompletionDetector
 from repro.selftimed.dualrail import DualRailWord
-from repro.selftimed.gates import CircuitElement, LogicGate
-from repro.selftimed.toggle import ToggleFlipFlop
+from repro.selftimed.gates import CircuitElement
+
+#: Oscillator steps in :class:`SelfTimedCounter`'s private heap; toggle
+#: completions use their stage number (>= 0).
+_RISE = -1
+_FALL = -2
+
+#: Priority of the counter's kernel event: it yields every time tie.
+_YIELD_PRIORITY = sys.maxsize
 
 
 class SelfTimedCounter(CircuitElement):
-    """Ripple counter of toggle flip-flops with an optional oscillator mode.
+    """Ripple counter of toggle flip-flops with an oscillator mode (Fig. 9).
+
+    Stage 0 toggles on every rising edge of the pulse generator; stage
+    ``i > 0`` toggles on the falling edge of stage ``i - 1``'s Q, so the Q
+    vector reads as a binary up-count.  Each stage behaves exactly like a
+    :class:`~repro.selftimed.toggle.ToggleFlipFlop`: a pulse arriving while
+    the stage is still toggling is dropped (and counted as a stall), a
+    toggle takes ``internal_transitions_per_toggle`` TOGGLE-gate delays at
+    the supply voltage it starts at, and it bills that many transitions'
+    energy at the voltage it completes at — or stalls, ending the
+    conversion, when the supply can no longer switch it.
+
+    The oscillator and the chain run as one scalar loop rather than as a
+    graph of signals and kernel events: per-stage state lives in plain
+    lists and pending edges in a private heap of ``(time, sequence, step)``
+    entries, fired in the order the kernel would fire them.  The counter
+    holds at most one kernel event, at its earliest pending edge; when it
+    fires, the counter takes its private steps up to
+    :attr:`Simulator.horizon <repro.sim.simulator.Simulator.horizon>`,
+    accounting each through
+    :meth:`~repro.sim.simulator.Simulator.take_step`, and re-posts the
+    event at its next edge.  See ``docs/architecture.md`` ("Simulation
+    kernel") for the contract and why the loop is bit-identical.
 
     Parameters
     ----------
@@ -47,6 +80,9 @@ class SelfTimedCounter(CircuitElement):
         :class:`~repro.selftimed.toggle.ToggleFlipFlop`).
     max_pulses:
         Safety bound on the number of pulses generated in oscillator mode.
+    record_signals:
+        Record the Q history of every stage; by default only the four
+        least-significant stages are recorded (see :attr:`histories`).
     """
 
     def __init__(self, sim: Simulator, supply, technology: Technology,
@@ -61,41 +97,46 @@ class SelfTimedCounter(CircuitElement):
             raise ConfigurationError("width must be >= 1")
         if oscillator_ring_stages < 1:
             raise ConfigurationError("oscillator_ring_stages must be >= 1")
+        if internal_transitions_per_toggle < 1:
+            raise ConfigurationError("internal_transitions must be >= 1")
         if max_pulses < 1:
             raise ConfigurationError("max_pulses must be >= 1")
         self.width = width
         self.oscillator_ring_stages = oscillator_ring_stages
+        self.internal_transitions = internal_transitions_per_toggle
         self.max_pulses = max_pulses
-        #: Pulse input of the least-significant toggle (signal R0 in Fig. 9).
-        self.pulse_input = Signal(f"{name}.r0", record=record_signals)
         self._osc_model = GateModel(technology=technology,
                                     gate_type=GateType.INVERTER)
-        self.toggles: List[ToggleFlipFlop] = []
-        previous: Signal = self.pulse_input
-        for i in range(width):
-            toggle = ToggleFlipFlop(
-                sim, supply, technology, f"{name}.t{i}",
-                input_signal=previous,
-                internal_transitions=internal_transitions_per_toggle,
-                energy_probe=energy_probe,
-                on_stall=self._on_toggle_stall,
-                record_output=record_signals or i < 4,
-                # Stage 0 counts pulses on their rising edge; higher stages
-                # ripple from the falling edge of the previous Q so the Q
-                # vector reads as a binary up-count.
-                trigger_on_rising=(i == 0),
-            )
-            self.toggles.append(toggle)
-            previous = toggle.output
+        self._toggle_model = GateModel(technology=technology,
+                                       gate_type=GateType.TOGGLE)
+        # Per-stage state, index = stage (bit) number.
+        self._q = [False] * width
+        self._busy = [False] * width
+        #: Completed toggles of each stage.
+        self.toggle_counts = [0] * width
+        #: Energy billed by each stage, in joules.
+        self.stage_energy = [0.0] * width
+        #: Stalls of each stage: pulses dropped while it was still
+        #: toggling, plus toggles the supply could not power.
+        self.stage_stalls = [0] * width
+        #: Recorded ``(time, Q)`` history of each stage, starting with
+        #: ``(0.0, False)``; empty for stages that are not recorded.
+        self.histories: List[List[Tuple[float, bool]]] = [
+            [(0.0, False)] if record_signals or i < 4 else []
+            for i in range(width)]
+        self._labels = [f"{name}.t{i}" for i in range(width)]
+        self._osc_label = f"{name}.osc"
+        self._pulse = False  # the pulse input of stage 0 (R0 in Fig. 9)
+        self._steps: List[Tuple[float, int, int]] = []
+        self._sequence = itertools.count()
+        self._event: Optional[Event] = None
+        self._horizon = 0.0
+        self._service_vdd = math.nan  # one-entry memo of _toggle_service
+        self._service = math.nan
         self.pulses_generated = 0
         self.running = False
         self.finished = False
         self.on_finish: Optional[Callable[["SelfTimedCounter"], None]] = None
-        # Per-edge actions and labels, built once instead of once per edge:
-        # index by the value the edge drives onto the pulse input.
-        self._osc_edges = (partial(self._osc_edge, False),
-                           partial(self._osc_edge, True))
-        self._osc_label = f"{name}.osc"
 
     # ------------------------------------------------------------------
     # Read-out
@@ -103,15 +144,15 @@ class SelfTimedCounter(CircuitElement):
 
     def value(self) -> int:
         """Current binary count (LSB = stage 0 output)."""
-        return vector_value([toggle.output for toggle in self.toggles])
+        return sum(1 << i for i, q in enumerate(self._q) if q)
 
     def total_toggle_transitions(self) -> int:
         """Total elementary transitions spent by all toggle stages."""
-        return sum(t.transition_count for t in self.toggles)
+        return sum(self.toggle_counts) * self.internal_transitions
 
     def energy_consumed_total(self) -> float:
         """Energy consumed by the oscillator and every toggle, in joules."""
-        return self.energy_consumed + sum(t.energy_consumed for t in self.toggles)
+        return self.energy_consumed + sum(self.stage_energy)
 
     # ------------------------------------------------------------------
     # Oscillator (pulse-generator) mode — Fig. 9
@@ -128,10 +169,19 @@ class SelfTimedCounter(CircuitElement):
             return
         self.running = True
         self.finished = False
-        self._schedule_half_period(next_value=True)
+        now = self.sim.now
+        vdd = self.supply.voltage(now)
+        if not vdd >= self.technology.vdd_min:
+            self._finish()
+            return
+        self._push(now + self._half_period(vdd), _RISE)
+        self._post()
 
     def stop_oscillator(self) -> None:
-        """Stop generating pulses (the count freezes at its current value)."""
+        """Stop generating pulses (the count freezes at its current value).
+
+        Toggles already in flight still complete, or stall.
+        """
         self.running = False
 
     def _half_period(self, vdd: float) -> float:
@@ -143,50 +193,147 @@ class SelfTimedCounter(CircuitElement):
         them, which the handshake structurally prevents.
         """
         ring = self.oscillator_ring_stages * self._osc_model.delay(vdd)
-        toggle_service = (self.toggles[0].internal_transitions
-                          * self.toggles[0].model.delay(vdd))
-        return max(ring, toggle_service)
+        return max(ring, self._toggle_service(vdd))
 
-    def _schedule_half_period(self, next_value: bool) -> None:
-        vdd = self.rail_voltage()
-        if not self._can_continue(vdd):
-            return
-        delay = self._half_period(vdd)
-        self.sim.schedule(delay, self._osc_edges[next_value],
-                          label=self._osc_label)
+    def _toggle_service(self, vdd: float) -> float:
+        """Duration of one toggle started at *vdd*.
 
-    def _osc_edge(self, value: bool) -> None:
-        if not self.running:
+        Memoised for the last voltage: the oscillator asks for its half
+        period at the voltage stage 0 has just started a toggle at.
+        """
+        if vdd != self._service_vdd:
+            self._service = (self.internal_transitions
+                             * self._toggle_model.delay(vdd))
+            self._service_vdd = vdd
+        return self._service
+
+    # ------------------------------------------------------------------
+    # The scalar loop
+    # ------------------------------------------------------------------
+
+    def _push(self, time: float, step: int) -> None:
+        heappush(self._steps, (time, next(self._sequence), step))
+
+    def _post(self) -> None:
+        """Hold the one kernel event at the earliest pending edge."""
+        if not self._steps:
             return
-        vdd = self.rail_voltage()
-        if not self._can_continue(vdd):
+        time = self._steps[0][0]
+        event = self._event
+        if event is not None:
+            if event.time <= time:
+                return
+            event.cancel()
+        self._event = self.sim.schedule_at(
+            time, self._run_steps, priority=_YIELD_PRIORITY,
+            label=self.name)
+
+    def _run_steps(self) -> None:
+        """The kernel event: fire pending edges up to the kernel's horizon.
+
+        The first edge is the one the event was posted for; each further
+        edge must lie strictly before the horizon, which :meth:`_finish`
+        re-reads after the ``on_finish`` callback.
+        """
+        self._event = None
+        sim = self.sim
+        steps = self._steps
+        self._horizon = sim.horizon
+        time = sim.now
+        while True:
+            step = heappop(steps)[2]
+            if step >= 0:
+                self._complete(step, time)
+            elif self.running:
+                self._osc_edge(step == _RISE, time)
+            if not steps:
+                break
+            time = steps[0][0]
+            if not time < self._horizon:
+                break
+            sim.take_step(time)
+        self._post()
+
+    def _osc_edge(self, rising: bool, time: float) -> None:
+        """The pulse generator drives R0 high (*rising*) or low."""
+        supply = self.supply
+        vdd_min = self.technology.vdd_min
+        vdd = supply.voltage(time)
+        if not vdd >= vdd_min:
+            self._finish()
             return
+        energy = self._osc_model.transition_energy(vdd)
         try:
-            # One ring transition per half period.
-            self.bill_energy(self._osc_model.transition_energy(vdd),
-                             label=self._osc_label)
+            supply.draw_charge(energy / vdd, time)
         except SupplyCollapseError:
             self._finish()
             return
-        self.transition_count += 1
-        self.pulse_input.set(value, self.sim.now)
-        if value:
+        self.energy_consumed += energy
+        if self.energy_probe is not None:
+            self.energy_probe.record(energy, time, self._osc_label)
+        self.transition_count += 1  # one ring transition per half period
+        if rising != self._pulse:
+            self._pulse = rising
+            if rising:
+                self._trigger(0, time)
+        if rising:
             self.pulses_generated += 1
             if self.pulses_generated >= self.max_pulses:
                 self._finish()
                 return
-        self._schedule_half_period(next_value=not value)
-
-    def _can_continue(self, vdd: float) -> bool:
         if not self.running:
-            return False
-        if not self.is_functional(vdd):
+            return
+        vdd = supply.voltage(time)
+        if not vdd >= vdd_min:
             self._finish()
-            return False
-        return True
+            return
+        self._push(time + self._half_period(vdd), _FALL if rising else _RISE)
 
-    def _on_toggle_stall(self, toggle: ToggleFlipFlop) -> None:
-        """A toggle ran out of supply mid-count: the conversion is over."""
+    def _trigger(self, stage: int, time: float) -> None:
+        """A triggering edge reaches *stage*: start its toggle."""
+        if self._busy[stage]:
+            # A pulse arrived before the previous toggle finished; the
+            # self-timed handshake never lets that happen, so it is dropped
+            # and counted (the ToggleFlipFlop behaviour).
+            self.stage_stalls[stage] += 1
+            return
+        vdd = self.supply.voltage(time)
+        if not vdd >= self.technology.vdd_min:
+            self._stall(stage)
+            return
+        self._busy[stage] = True
+        self._push(time + self._toggle_service(vdd), stage)
+
+    def _complete(self, stage: int, time: float) -> None:
+        """The toggle of *stage* finishes: bill it and flip its Q."""
+        self._busy[stage] = False
+        supply = self.supply
+        vdd = supply.voltage(time)
+        if not vdd >= self.technology.vdd_min:
+            self._stall(stage)
+            return
+        energy = (self.internal_transitions
+                  * self._toggle_model.transition_energy(vdd))
+        try:
+            supply.draw_charge(energy / vdd, time)
+        except SupplyCollapseError:
+            self._stall(stage)
+            return
+        self.stage_energy[stage] += energy
+        if self.energy_probe is not None:
+            self.energy_probe.record(energy, time, self._labels[stage])
+        self.toggle_counts[stage] += 1
+        q = not self._q[stage]
+        self._q[stage] = q
+        history = self.histories[stage]
+        if history:
+            history.append((time, q))
+        if not q and stage + 1 < self.width:
+            self._trigger(stage + 1, time)
+
+    def _stall(self, stage: int) -> None:
+        """*stage* ran out of supply mid-count: the conversion is over."""
+        self.stage_stalls[stage] += 1
         self._finish()
 
     def _finish(self) -> None:
@@ -196,6 +343,8 @@ class SelfTimedCounter(CircuitElement):
         self.finished = True
         if self.on_finish is not None:
             self.on_finish(self)
+            # The callback may have scheduled events or stopped the run.
+            self._horizon = self.sim.horizon
 
 
 class DualRailCounter(CircuitElement):

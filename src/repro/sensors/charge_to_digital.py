@@ -121,6 +121,8 @@ class ChargeToDigitalConverter:
 
         The source is only touched during the sampling phase (S1); the
         conversion itself runs entirely off the sampling capacitor.
+        *max_pulses* bounds the pulse count (default: the counter's full
+        range, ``2**width - 1``); it must be at least 1.
         """
         sim = Simulator()
         capacitor = SamplingCapacitor(
@@ -134,7 +136,8 @@ class ChargeToDigitalConverter:
             sim, capacitor, self.technology,
             name="ctd.counter",
             width=self.counter_width,
-            max_pulses=max_pulses or (1 << self.counter_width) - 1,
+            max_pulses=((1 << self.counter_width) - 1 if max_pulses is None
+                        else max_pulses),
             energy_probe=energy_probe,
         )
         if sampled >= self.technology.vdd_min:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from typing import Any, Callable
+from typing import Callable
 
 #: Monotonic tiebreaker so simultaneous events pop in scheduling order.
 _SEQUENCE = itertools.count()
@@ -21,8 +21,6 @@ class EventKind(enum.Enum):
     SUPPLY = "supply"
     #: A probe sampling instant.
     SAMPLE = "sample"
-    #: End-of-simulation sentinel.
-    STOP = "stop"
 
 
 class Event:
@@ -36,18 +34,17 @@ class Event:
     event is scheduled.
     """
 
-    __slots__ = ("time", "action", "kind", "priority", "label", "payload",
-                 "cancelled", "sequence")
+    __slots__ = ("time", "action", "kind", "priority", "label", "cancelled",
+                 "sequence")
 
     def __init__(self, time: float, action: Callable[[], None],
                  kind: EventKind = EventKind.CALLBACK, priority: int = 0,
-                 label: str = "", payload: Any = None) -> None:
+                 label: str = "") -> None:
         self.time = time
         self.action = action
         self.kind = kind
         self.priority = priority
         self.label = label
-        self.payload = payload
         self.cancelled = False
         self.sequence = next(_SEQUENCE)
 
@@ -60,18 +57,8 @@ class Event:
         """
         self.cancelled = True
 
-    def fire(self) -> None:
-        """Execute the event's action (no-op if cancelled)."""
-        if not self.cancelled:
-            self.action()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = " cancelled" if self.cancelled else ""
         label = f" {self.label!r}" if self.label else ""
         return f"<Event t={self.time:.3e}s {self.kind.value}{label}{state}>"
 
-
-def make_stop_event(time: float) -> Event:
-    """Create a sentinel event that simply marks the end of simulation."""
-    return Event(time=time, action=lambda: None, kind=EventKind.STOP,
-                 priority=10_000, label="stop")

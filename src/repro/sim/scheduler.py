@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from typing import Iterator, List, Optional, Tuple
 
 from repro.sim.events import Event
@@ -98,13 +98,3 @@ class EventQueue:
         """Drop every pending event."""
         self._heap.clear()
 
-    def prune(self) -> int:
-        """Physically remove cancelled events; returns how many were removed.
-
-        Only useful for extremely long simulations where cancelled events
-        would otherwise accumulate; the kernel itself never calls it.
-        """
-        before = len(self._heap)
-        self._heap = [entry for entry in self._heap if not entry[3].cancelled]
-        heapify(self._heap)
-        return before - len(self._heap)

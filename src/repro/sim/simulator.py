@@ -8,6 +8,8 @@ provides the scheduling primitives they need:
 * ``schedule`` / ``schedule_at`` for callbacks,
 * ``schedule_signal`` for driving :class:`~repro.sim.signals.Signal` objects,
 * ``run`` / ``run_until_idle`` / ``step`` to advance time,
+* ``horizon`` / ``take_step`` for elements that run their own scalar loop
+  inside one kernel event (the self-timed counter's oscillator),
 * watchdogs (maximum events, maximum time) so livelocks in experimental
   circuits terminate with a useful error instead of hanging.
 
@@ -50,6 +52,7 @@ class Simulator:
         self.max_events = max_events
         self.trace = trace
         self._stopped = False
+        self._bound = math.inf  # the current run's until, or step()'s time
         self._idle_hooks: List[Callable[[float], None]] = []
 
     # ------------------------------------------------------------------
@@ -75,6 +78,41 @@ class Simulator:
     def stopped(self) -> bool:
         """True once :meth:`stop` has been called."""
         return self._stopped
+
+    @property
+    def horizon(self) -> float:
+        """Exclusive time bound for an element's private steps.
+
+        An element that runs its own event loop holds one kernel event at
+        its earliest private time.  While that event fires, the element may
+        take further private steps at times strictly before ``horizon``:
+        the earliest other pending event, the *until* of the current
+        :meth:`run` (a step at exactly *until* is taken by re-posting the
+        event there), or, during :meth:`step`, the fired event's own time.
+        After :meth:`stop` it is :attr:`now`, so nothing more is taken.  An
+        element re-reads it after any callback out of its loop, since the
+        callback may schedule events or stop the run.
+        """
+        if self._stopped:
+            return self._now
+        pending = self._queue.peek_time()
+        if pending is None or pending > self._bound:
+            return self._bound
+        return pending
+
+    def take_step(self, time: float) -> None:
+        """Account one private step at *time*, before :attr:`horizon`.
+
+        The clock moves to *time* and the step counts toward
+        :attr:`fired_events` and ``max_events`` exactly like a fired event.
+        """
+        if not time >= self._now:
+            raise SchedulingError(
+                f"private step at {time} is before now ({self._now})")
+        self._now = time
+        self._fired += 1
+        if self._fired > self.max_events:
+            raise self._livelock()
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -137,7 +175,7 @@ class Simulator:
             raise SimulationError(
                 f"event queue returned a stale event ({event.time} < {self._now})"
             )
-        self._now = event.time
+        self._now = self._bound = event.time
         self._fired += 1
         if self._fired > self.max_events:
             raise self._livelock()
@@ -155,11 +193,14 @@ class Simulator:
 
         This loop is the cost of every simulated event, so it does only
         what :meth:`step` does, minus the staleness check: scheduling never
-        accepts a time before :attr:`now`.
+        accepts a time before :attr:`now`.  ``trace`` sees kernel events
+        only: an element's private steps (see :attr:`horizon`) run inside
+        the one event that fires them.
         """
         if until is not None and not until >= self._now:
             raise SchedulingError(f"until={until} is in the past (now={self._now})")
         self._stopped = False
+        self._bound = math.inf if until is None else until
         pop = self._queue.pop
         trace = self.trace
         while not self._stopped:

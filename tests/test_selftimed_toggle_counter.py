@@ -166,7 +166,7 @@ class TestOscillatorPins:
         assert (counter.pulses_generated, counter.value()) == (193, 185)
         assert sim.fired_events == 766
         assert sim.now.hex() == "0x1.e24860d5a7a8bp-8"
-        histories = [counter.toggles[i].output.history for i in range(4)]
+        histories = counter.histories[:4]
         assert [len(h) for h in histories] == [194, 97, 49, 24]
         assert _digest(f"{i} {t.hex()} {int(v)}"
                        for i, history in enumerate(histories)

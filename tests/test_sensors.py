@@ -97,6 +97,15 @@ class TestChargeToDigitalConverter:
         result = converter.convert(ConstantSupply(tech.vdd_min * 0.5))
         assert result.count == 0
 
+    def test_max_pulses_bounds_the_count(self, converter):
+        result = converter.convert(ConstantSupply(0.8), max_pulses=7)
+        assert result.count == 7
+
+    def test_max_pulses_zero_is_rejected(self, converter):
+        """``max_pulses=0`` used to fall back to the full 16-bit range."""
+        with pytest.raises(ConfigurationError):
+            converter.convert(ConstantSupply(0.8), max_pulses=0)
+
     def test_predicted_count_tracks_simulation(self, converter):
         simulated = converter.convert(ConstantSupply(0.6)).count
         predicted = converter.predicted_count(0.6)

@@ -3,33 +3,25 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim.events import Event, EventKind, make_stop_event
+from repro.sim.events import Event
 from repro.sim.scheduler import EventQueue
+from repro.sim.simulator import Simulator
 
 
 class TestEvent:
-    def test_fire_runs_action(self):
-        hits = []
-        event = Event(time=1.0, action=lambda: hits.append(1))
-        event.fire()
-        assert hits == [1]
-
     def test_cancelled_event_does_not_run(self):
         hits = []
-        event = Event(time=1.0, action=lambda: hits.append(1))
+        sim = Simulator()
+        event = sim.schedule(1.0, lambda: hits.append(1))
         event.cancel()
-        event.fire()
+        sim.run()
         assert hits == []
+        assert sim.fired_events == 0
 
     def test_sequence_numbers_increase(self):
         first = Event(time=0.0, action=lambda: None)
         second = Event(time=0.0, action=lambda: None)
         assert second.sequence > first.sequence
-
-    def test_make_stop_event_kind(self):
-        stop = make_stop_event(5.0)
-        assert stop.time == 5.0
-        assert stop.kind is EventKind.STOP
 
 
 class TestEventQueue:
@@ -89,16 +81,6 @@ class TestEventQueue:
         queue.push(Event(time=0.0, action=lambda: None))
         queue.clear()
         assert len(queue) == 0
-
-    def test_prune_removes_cancelled(self):
-        queue = EventQueue()
-        keep = Event(time=1.0, action=lambda: None)
-        drop = Event(time=2.0, action=lambda: None)
-        queue.push(keep)
-        queue.push(drop)
-        drop.cancel()
-        queue.prune()
-        assert len(queue) == 1
 
     @given(st.lists(st.floats(min_value=0, max_value=1e3), min_size=1, max_size=40))
     def test_queue_is_a_total_order_property(self, times):
