@@ -97,10 +97,10 @@ class SelfTimedCounter(CircuitElement):
             raise ConfigurationError("width must be >= 1")
         if oscillator_ring_stages < 1:
             raise ConfigurationError("oscillator_ring_stages must be >= 1")
-        if internal_transitions_per_toggle < 1:
-            raise ConfigurationError("internal_transitions must be >= 1")
         if max_pulses < 1:
             raise ConfigurationError("max_pulses must be >= 1")
+        if internal_transitions_per_toggle < 1:
+            raise ConfigurationError("internal_transitions must be >= 1")
         self.width = width
         self.oscillator_ring_stages = oscillator_ring_stages
         self.internal_transitions = internal_transitions_per_toggle

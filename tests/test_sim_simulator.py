@@ -251,3 +251,44 @@ class TestKernelContract:
         sim.schedule(1.0, lambda: None).cancel()
         with pytest.raises(DeadlockError):
             sim.step()
+
+
+class TestPrivateSteps:
+    """``horizon`` / ``take_step``: an element's own loop inside one event."""
+
+    def test_horizon_is_the_next_event_or_the_run_bound(self):
+        sim = Simulator()
+        seen = []
+        sim.schedule(1.0, lambda: seen.append(sim.horizon))
+        sim.schedule(3.0, lambda: seen.append(sim.horizon))
+        sim.schedule(1.0, lambda: None).cancel()  # a cancelled event is no bound
+        sim.run(until=5.0)
+        sim.schedule(1.0, lambda: seen.append(sim.horizon))
+        sim.run()
+        sim.schedule(1.0, lambda: seen.append(sim.horizon))
+        sim.step()
+        assert seen == [3.0, 5.0, float("inf"), 7.0]
+
+    def test_horizon_is_now_after_stop(self):
+        sim = Simulator()
+        seen = []
+
+        def stop_then_look():
+            sim.stop()
+            seen.append(sim.horizon)
+
+        sim.schedule(1.0, stop_then_look)
+        sim.schedule(2.0, lambda: None)
+        sim.run()
+        assert seen == [1.0]
+
+    def test_take_step_moves_now_and_counts_toward_max_events(self):
+        sim = Simulator(max_events=3)
+        sim.schedule(1.0, lambda: sim.take_step(1.5))
+        sim.run()
+        assert (sim.now, sim.fired_events) == (1.5, 2)
+        with pytest.raises(SchedulingError):
+            sim.take_step(1.0)
+        sim.take_step(2.0)
+        with pytest.raises(SimulationError, match="max_events=3"):
+            sim.take_step(2.5)
