@@ -10,6 +10,7 @@ reproduce it to the last bit (``float.hex`` of every output), including
 how it interleaves with the rest of the kernel.
 """
 
+import math
 from functools import partial
 
 import pytest
@@ -358,6 +359,26 @@ class TestKernelContract:
         assert len(loop[0]) == len(times)
         assert [s[0] for s in loop[0]] == [t.hex() for t in times]
         assert loop == oracle
+
+    def test_exact_time_tie_goes_to_the_other_element(self):
+        """An event at exactly an edge's time fires before that edge, even
+        when it is scheduled after the counter posted its event there."""
+        whole = run_case(SelfTimedCounter, CMOS90_CAP)
+        edge = float.fromhex(whole["histories"][0][10][0])
+        sim, supply, probe, counter = build(SelfTimedCounter, CMOS90_CAP)
+        seen = []
+
+        def look():
+            seen.append(counter.histories[0][-1])
+
+        counter.start_oscillator()
+        sim.schedule_at(math.nextafter(edge, 0.0),
+                        lambda: sim.schedule_at(edge, look))
+        sim.run()
+        assert seen == [(float.fromhex(whole["histories"][0][9][0]),
+                         whole["histories"][0][9][1])]
+        assert observe(sim, counter, supply, probe) == dict(
+            whole, fired=whole["fired"] + 2)
 
     def test_max_events_still_raises(self):
         results = []
