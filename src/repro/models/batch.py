@@ -126,9 +126,9 @@ def inversion_charge(batch: TechnologyBatch, vgs,
                      vth_offset=0.0) -> np.ndarray:
     """Dimensionless inversion-charge factor, elementwise over the batch.
 
-    Vectorised :meth:`~repro.models.mosfet.MosfetModel._inversion_charge`;
-    *vgs* and *vth_offset* may be scalars or arrays broadcasting against
-    the batch.
+    ``softplus((vgs - vth) / (n·Ut)) ** alpha``, the factor
+    :meth:`~repro.models.mosfet.MosfetModel.on_current` scales; *vgs* and
+    *vth_offset* may be scalars or arrays broadcasting against the batch.
     """
     tech = batch.base
     n_ut = tech.subthreshold_slope_factor * thermal_voltage(tech.temperature_k)

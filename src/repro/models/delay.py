@@ -75,17 +75,17 @@ class InverterChain:
             raise ModelError(f"stages must be >= 1, got {self.stages}")
         if self.fanout <= 0:
             raise ModelError("fanout must be positive")
-
-    def _stage_gate(self) -> GateModel:
-        return GateModel(
+        # Built once; a plain attribute, so equality and stable_repr (hence
+        # cache keys) see only the fields.
+        object.__setattr__(self, "_gate", GateModel(
             technology=self.technology,
             gate_type=GateType.INVERTER,
             drive_strength=self.drive_strength,
-        )
+        ))
 
     def stage_delay(self, vdd: float) -> float:
         """Delay of a single stage in seconds at supply *vdd*."""
-        gate = self._stage_gate()
+        gate = self._gate
         load = self.fanout * gate.input_capacitance
         return gate.delay(vdd, external_load=load)
 
@@ -114,7 +114,7 @@ class InverterChain:
 
     def energy(self, vdd: float) -> float:
         """Energy in joules of one transition propagating through the chain."""
-        gate = self._stage_gate()
+        gate = self._gate
         load = self.fanout * gate.input_capacitance
         return self.stages * gate.transition_energy(vdd, external_load=load)
 

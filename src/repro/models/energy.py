@@ -81,11 +81,12 @@ class EnergyModel:
             raise ModelError("switched_cap_per_transition must be positive")
         if self.leakage_gates < 0:
             raise ModelError("leakage_gates must be non-negative")
+        # Built once; a plain attribute, so equality and stable_repr (hence
+        # cache keys) see only the fields.
+        object.__setattr__(self, "_reference_gate", GateModel(
+            technology=self.technology, gate_type=GateType.INVERTER))
 
     # ------------------------------------------------------------------
-
-    def _reference_gate(self) -> GateModel:
-        return GateModel(technology=self.technology, gate_type=GateType.INVERTER)
 
     def switching_energy(self, vdd: float) -> float:
         """Dynamic switching energy of one operation in joules."""
@@ -105,7 +106,7 @@ class EnergyModel:
         latency = self.delay_model(vdd)
         if latency < 0:
             raise ModelError("delay_model returned a negative latency")
-        leak_power = self.leakage_gates * self._reference_gate().leakage_power(vdd)
+        leak_power = self.leakage_gates * self._reference_gate.leakage_power(vdd)
         return leak_power * latency
 
     def breakdown(self, vdd: float) -> EnergyBreakdown:

@@ -121,6 +121,9 @@ class GateModel:
         object.__setattr__(self, "_cp", cp)
         # Total load of the default fan-out of one like gate.
         object.__setattr__(self, "_default_load", cp + cin)
+        # Read on every delay / energy call (the Technology is frozen).
+        object.__setattr__(self, "_vdd_min", tech.vdd_min)
+        object.__setattr__(self, "_vth_nominal", tech.vth)
 
     # ------------------------------------------------------------------
     # Capacitances
@@ -160,15 +163,18 @@ class GateModel:
         technology's minimum functional voltage (the caller — usually a
         supply node — decides whether that means "stall" or "fail").
         """
-        tech = self.technology
-        if vdd < tech.vdd_min:
+        if vdd < self._vdd_min:
+            tech = self.technology
             raise ModelError(
                 f"vdd={vdd:.3f} V below functional minimum {tech.vdd_min:.3f} V "
                 f"for {tech.name}"
             )
-        load = self.total_load(external_load)
+        if external_load is None:
+            load = self._default_load
+        else:
+            load = self.total_load(external_load)
         current = self._mosfet.on_current(vdd)
-        if current <= 0 or not math.isfinite(current):
+        if not 0.0 < current < math.inf:  # also rejects NaN
             raise ModelError(f"non-physical drive current {current} at vdd={vdd}")
         return load * vdd / (2.0 * current)
 
@@ -209,11 +215,8 @@ class GateModel:
         Modelled as a fixed 10 % of the switching energy above threshold and
         zero below it (both devices can no longer conduct strongly at once).
         """
-        return self._short_circuit(vdd, self.switching_energy(vdd, external_load))
-
-    def _short_circuit(self, vdd: float, switching: float) -> float:
-        """The crowbar model given the switching energy at *vdd*."""
-        return 0.0 if vdd <= self.technology.vth else 0.10 * switching
+        switching = self.switching_energy(vdd, external_load)
+        return 0.0 if vdd <= self._vth_nominal else 0.10 * switching
 
     def leakage_power(self, vdd: float) -> float:
         """Static power in watts burned while the gate is idle at *vdd*."""
@@ -222,9 +225,22 @@ class GateModel:
 
     def transition_energy(self, vdd: float,
                           external_load: Optional[float] = None) -> float:
-        """Total dynamic energy (switching + short-circuit) per transition."""
-        switching = self.switching_energy(vdd, external_load)
-        return switching + self._short_circuit(vdd, switching)
+        """Total dynamic energy (switching + short-circuit) per transition.
+
+        :meth:`switching_energy` plus :meth:`short_circuit_energy`, with
+        both expressions evaluated inline so one call is one frame.
+        """
+        if vdd < 0:
+            raise ModelError("vdd must be non-negative")
+        if external_load is None:
+            load = self._default_load
+        else:
+            load = self.total_load(external_load)
+        switching = 0.5 * load * vdd * vdd * self.activity_factor
+        # switching + short_circuit_energy, operand for operand.
+        if vdd <= self._vth_nominal:
+            return switching + 0.0
+        return switching + 0.10 * switching
 
     def transition_charge(self, vdd: float,
                           external_load: Optional[float] = None) -> float:

@@ -20,6 +20,7 @@ the behavioural simulator needs.
 from __future__ import annotations
 
 import math
+from math import exp, log1p
 from dataclasses import dataclass
 
 from repro.errors import ModelError
@@ -82,6 +83,7 @@ class MosfetModel:
         if reference <= 0:
             raise ModelError("technology parameters give zero reference current")
         object.__setattr__(self, "_n_ut", n_ut)
+        object.__setattr__(self, "_alpha", tech.alpha)
         object.__setattr__(self, "_vth", tech.vth + self.vth_offset)
         object.__setattr__(
             self, "_scale",
@@ -96,24 +98,26 @@ class MosfetModel:
         """Threshold voltage including the per-device offset."""
         return self._vth
 
-    def _inversion_charge(self, vgs: float) -> float:
-        """Dimensionless inversion-charge factor at gate-source voltage *vgs*.
-
-        ``softplus((vgs - vth) / (n·Ut)) ** alpha`` — exponential below
-        threshold, power-law above, smooth in between.
-        """
-        return _softplus((vgs - self._vth) / self._n_ut) ** self.technology.alpha
-
     def on_current(self, vgs: float) -> float:
         """Saturation drive current in amperes with gate at *vgs* volts.
 
-        Normalised so that at the technology's nominal Vdd (and zero
-        ``vth_offset``, unit derating) the current equals
-        ``i_on_per_um × width``.
+        ``scale · softplus((vgs - vth) / (n·Ut)) ** alpha`` — exponential
+        below threshold, power-law above, smooth in between — normalised so
+        that at the technology's nominal Vdd (and zero ``vth_offset``, unit
+        derating) the current equals ``i_on_per_um × width``.  The softplus
+        is evaluated inline, with :func:`_softplus`'s three branches, so one
+        call is one frame.
         """
         if vgs < 0:
             raise ModelError(f"vgs must be non-negative, got {vgs}")
-        return self._scale * self._inversion_charge(vgs)
+        x = (vgs - self._vth) / self._n_ut
+        if x > 40.0:
+            softplus = x
+        elif x < -40.0:
+            softplus = exp(x)
+        else:
+            softplus = log1p(exp(x))
+        return self._scale * softplus ** self._alpha
 
     def leakage_current(self, vdd: float) -> float:
         """Sub-threshold (off-state) leakage in amperes at supply *vdd*.

@@ -9,6 +9,8 @@ droop, and a cutoff below which it stops delivering.
 
 from __future__ import annotations
 
+import math
+
 from repro.errors import ConfigurationError, PowerError, SupplyCollapseError
 
 
@@ -95,8 +97,9 @@ class Battery:
 
     def draw_charge(self, charge: float, time: float) -> None:
         """Remove *charge* coulombs; raises when the battery is empty."""
-        if charge < 0:
-            raise PowerError("negative charge draw")
+        if not 0.0 <= charge < math.inf:
+            raise PowerError(
+                f"charge draw {charge!r} is not finite and non-negative")
         if self.empty:
             raise SupplyCollapseError(f"battery {self.name!r} is empty")
         voltage = self.voltage(time)

@@ -101,8 +101,9 @@ class Capacitor:
         Raises :class:`~repro.errors.SupplyCollapseError` if the voltage is
         already at or below the configured minimum operating voltage.
         """
-        if charge < 0:
-            raise PowerError("negative charge draw")
+        if not 0.0 <= charge < math.inf:
+            raise PowerError(
+                f"charge draw {charge!r} is not finite and non-negative")
         if time != self._last_update:
             self._advance(time)
         if self._voltage <= self.min_operating_voltage:

@@ -128,8 +128,9 @@ class DCDCConverter:
 
     def draw_charge(self, charge: float, time: float) -> None:
         """Deliver *charge* at the output rail, billing the input store."""
-        if charge < 0:
-            raise PowerError("negative charge draw")
+        if not 0.0 <= charge < math.inf:
+            raise PowerError(
+                f"charge draw {charge!r} is not finite and non-negative")
         vout = self.voltage(time)
         if vout <= 0:
             raise SupplyCollapseError(

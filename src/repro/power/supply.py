@@ -58,16 +58,20 @@ class _BaseSupply:
 
     def draw_charge(self, charge: float, time: float) -> None:
         """Account for a load drawing *charge* coulombs at *time*."""
-        if charge < 0:
-            raise PowerError(f"negative charge draw on supply {self.name!r}")
+        if not 0.0 <= charge < math.inf:
+            raise PowerError(
+                f"charge draw {charge!r} on supply {self.name!r} is not "
+                f"finite and non-negative")
         voltage = self.voltage(time)
         self._charge_delivered += charge
         self._energy_delivered += charge * voltage
 
     def draw_energy(self, energy: float, time: float) -> None:
         """Account for an *energy* draw (joules); converts via the rail voltage."""
-        if energy < 0:
-            raise PowerError(f"negative energy draw on supply {self.name!r}")
+        if not 0.0 <= energy < math.inf:
+            raise PowerError(
+                f"energy draw {energy!r} on supply {self.name!r} is not "
+                f"finite and non-negative")
         voltage = self.voltage(time)
         if voltage <= 0:
             raise PowerError(

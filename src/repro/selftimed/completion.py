@@ -147,6 +147,12 @@ class CompletionTreeModel:
             raise ConfigurationError("bits must be >= 1")
         if self.segment_size is not None and self.segment_size < 1:
             raise ConfigurationError("segment_size must be >= 1 when given")
+        # Built once; plain attributes, so equality and stable_repr (hence
+        # cache keys) see only the fields.
+        object.__setattr__(self, "_or_gate", GateModel(
+            technology=self.technology, gate_type=GateType.OR2))
+        object.__setattr__(self, "_c_gate", GateModel(
+            technology=self.technology, gate_type=GateType.C_ELEMENT))
 
     # ------------------------------------------------------------------
 
@@ -169,31 +175,25 @@ class CompletionTreeModel:
 
     def delay(self, vdd: float) -> float:
         """Detection latency in seconds at supply *vdd*."""
-        or_gate = GateModel(technology=self.technology, gate_type=GateType.OR2)
-        c_gate = GateModel(technology=self.technology, gate_type=GateType.C_ELEMENT)
         if self.segment_size is None:
             depth = self._tree_depth(self.bits)
         else:
             segments = math.ceil(self.bits / self.segment_size)
             depth = self._tree_depth(min(self.segment_size, self.bits))
             depth += self._tree_depth(segments) if segments > 1 else 0
-        return or_gate.delay(vdd) + depth * c_gate.delay(vdd)
+        return self._or_gate.delay(vdd) + depth * self._c_gate.delay(vdd)
 
     def energy(self, vdd: float) -> float:
         """Energy of one complete detect/reset cycle at supply *vdd*."""
-        or_gate = GateModel(technology=self.technology, gate_type=GateType.OR2)
-        c_gate = GateModel(technology=self.technology, gate_type=GateType.C_ELEMENT)
         or_count = self.bits
         c_count = self.gate_count - or_count
         # Each gate switches twice per 4-phase cycle (set and reset).
-        return 2.0 * (or_count * or_gate.transition_energy(vdd)
-                      + c_count * c_gate.transition_energy(vdd))
+        return 2.0 * (or_count * self._or_gate.transition_energy(vdd)
+                      + c_count * self._c_gate.transition_energy(vdd))
 
     def leakage_power(self, vdd: float) -> float:
         """Static power of the detector at supply *vdd*, in watts."""
-        or_gate = GateModel(technology=self.technology, gate_type=GateType.OR2)
-        c_gate = GateModel(technology=self.technology, gate_type=GateType.C_ELEMENT)
         or_count = self.bits
         c_count = self.gate_count - or_count
-        return (or_count * or_gate.leakage_power(vdd)
-                + c_count * c_gate.leakage_power(vdd))
+        return (or_count * self._or_gate.leakage_power(vdd)
+                + c_count * self._c_gate.leakage_power(vdd))

@@ -43,6 +43,27 @@ _FALL = -2
 _YIELD_PRIORITY = sys.maxsize
 
 
+def _ring_never_longer(ring_gate: GateModel, ring_stages: int,
+                       service_gate: GateModel, transitions: int) -> bool:
+    """True when ``ring_stages · ring_gate.delay(v)`` exceeds
+    ``transitions · service_gate.delay(v)`` at no supply ``v``.
+
+    Each delay is ``fl(fl(load · v) / fl(2 · I_on(v)))``.  Two gates of
+    one technology, drive strength, Vth offset and drive derating build
+    equal MOSFETs, so at every ``v`` they divide by the same float (and
+    raise at the same ``v``).  Rounding is monotone: a load no larger
+    gives a delay no larger, and a whole-number multiplier no larger a
+    product no larger, so then ``max(ring, service)`` is ``service`` bit
+    for bit.
+    """
+    return (ring_stages <= transitions
+            and ring_gate.technology == service_gate.technology
+            and ring_gate.drive_strength == service_gate.drive_strength
+            and ring_gate.vth_offset == service_gate.vth_offset
+            and ring_gate.drive_derating == service_gate.drive_derating
+            and ring_gate.total_load() <= service_gate.total_load())
+
+
 class SelfTimedCounter(CircuitElement):
     """Ripple counter of toggle flip-flops with an oscillator mode (Fig. 9).
 
@@ -109,6 +130,9 @@ class SelfTimedCounter(CircuitElement):
                                     gate_type=GateType.INVERTER)
         self._toggle_model = GateModel(technology=technology,
                                        gate_type=GateType.TOGGLE)
+        self._ring_bounded = _ring_never_longer(
+            self._osc_model, oscillator_ring_stages,
+            self._toggle_model, internal_transitions_per_toggle)
         # Per-stage state, index = stage (bit) number.
         self._q = [False] * width
         self._busy = [False] * width
@@ -174,7 +198,8 @@ class SelfTimedCounter(CircuitElement):
         if not vdd >= self.technology.vdd_min:
             self._finish()
             return
-        self._push(now + self._half_period(vdd), _RISE)
+        heappush(self._steps, (now + self._half_period(vdd),
+                               next(self._sequence), _RISE))
         self._post()
 
     def stop_oscillator(self) -> None:
@@ -190,8 +215,12 @@ class SelfTimedCounter(CircuitElement):
         The LSB toggle itself is part of the oscillation loop (Fig. 9), so the
         pulse period can never be shorter than the toggle's own service time —
         otherwise pulses would be generated faster than the counter can accept
-        them, which the handshake structurally prevents.
+        them, which the handshake structurally prevents.  When the ring can
+        never be the longer of the two (see :func:`_ring_never_longer`),
+        its delay is not evaluated.
         """
+        if self._ring_bounded:
+            return self._toggle_service(vdd)
         ring = self.oscillator_ring_stages * self._osc_model.delay(vdd)
         return max(ring, self._toggle_service(vdd))
 
@@ -210,9 +239,6 @@ class SelfTimedCounter(CircuitElement):
     # ------------------------------------------------------------------
     # The scalar loop
     # ------------------------------------------------------------------
-
-    def _push(self, time: float, step: int) -> None:
-        heappush(self._steps, (time, next(self._sequence), step))
 
     def _post(self) -> None:
         """Hold the one kernel event at the earliest pending edge."""
@@ -287,7 +313,9 @@ class SelfTimedCounter(CircuitElement):
         if not vdd >= vdd_min:
             self._finish()
             return
-        self._push(time + self._half_period(vdd), _FALL if rising else _RISE)
+        heappush(self._steps, (time + self._half_period(vdd),
+                               next(self._sequence),
+                               _FALL if rising else _RISE))
 
     def _trigger(self, stage: int, time: float) -> None:
         """A triggering edge reaches *stage*: start its toggle."""
@@ -302,7 +330,8 @@ class SelfTimedCounter(CircuitElement):
             self._stall(stage)
             return
         self._busy[stage] = True
-        self._push(time + self._toggle_service(vdd), stage)
+        heappush(self._steps, (time + self._toggle_service(vdd),
+                               next(self._sequence), stage))
 
     def _complete(self, stage: int, time: float) -> None:
         """The toggle of *stage* finishes: bill it and flip its Q."""

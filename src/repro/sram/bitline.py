@@ -85,6 +85,10 @@ class BitlineModel:
             vth_offset=self.read_vth_penalty,
         )
         self._ruler = InverterChain(technology=self.technology, stages=1)
+        self._sense = GateModel(technology=self.technology,
+                                gate_type=GateType.SENSE_AMP)
+        self._driver = GateModel(technology=self.technology,
+                                 gate_type=GateType.WRITE_DRIVER)
 
     # ------------------------------------------------------------------
     # Delay
@@ -125,15 +129,12 @@ class BitlineModel:
 
     def read_energy(self, vdd: float) -> float:
         """Energy (J) of one column read: discharge + sense + restore."""
-        sense = GateModel(technology=self.technology, gate_type=GateType.SENSE_AMP)
-        return self.precharge_energy(vdd) + sense.transition_energy(vdd)
+        return self.precharge_energy(vdd) + self._sense.transition_energy(vdd)
 
     def write_energy(self, vdd: float) -> float:
         """Energy (J) of one column write: full-swing drive of both bit lines."""
-        driver = GateModel(technology=self.technology,
-                           gate_type=GateType.WRITE_DRIVER)
         return (2.0 * self.bitline_capacitance * vdd * vdd
-                + driver.transition_energy(vdd))
+                + self._driver.transition_energy(vdd))
 
     def leakage_power(self, vdd: float, cell: Optional[SRAMCell] = None) -> float:
         """Static power (W) of the whole column (all cells leak)."""

@@ -1,5 +1,6 @@
 """Tests for the voltage-aware gate delay/energy model."""
 
+import dataclasses
 import math
 
 import pytest
@@ -171,7 +172,14 @@ def _varied_technologies():
     return techs
 
 
-VOLTAGES = (0.2, 0.25, 0.33, 0.45, 0.7, 1.0, 1.3)
+#: Supplies from deep sub-threshold to far above nominal: 2.5 V and 6 V
+#: put ``(vgs - vth) / (n·Ut)`` past softplus's upper cut-off (40) in every
+#: technology, and :data:`DEEP_OFFSET` puts 0.2 V past its lower one (-40).
+VOLTAGES = (0.2, 0.25, 0.33, 0.45, 0.7, 1.0, 1.3, 2.5, 6.0)
+
+#: A threshold offset large enough that every technology's
+#: ``(0.2 - vth - DEEP_OFFSET) / (n·Ut)`` lies below -40.
+DEEP_OFFSET = 2.0
 
 
 class TestConstructionTimeConstants:
@@ -179,7 +187,8 @@ class TestConstructionTimeConstants:
     def test_mosfet_matches_per_call_expressions(self, tech_index):
         tech = _varied_technologies()[tech_index]
         for width, offset, derating in ((1.0, 0.0, 1.0), (0.36, 0.031, 0.83),
-                                        (2.5, -0.02, 1.2)):
+                                        (2.5, -0.02, 1.2),
+                                        (1.0, DEEP_OFFSET, 1.0)):
             device = MosfetModel(tech, width_um=width, vth_offset=offset,
                                  drive_derating=derating)
             assert device.effective_vth == tech.vth + offset
@@ -200,6 +209,8 @@ class TestConstructionTimeConstants:
                       drive_derating=0.9, activity_factor=0.6),
             GateModel(technology=tech, gate_type=GateType.XOR2,
                       drive_strength=0.5, vth_offset=-0.015),
+            GateModel(technology=tech, gate_type=GateType.NAND2,
+                      vth_offset=DEEP_OFFSET),
         ]
         for gate in gates:
             assert gate.total_load(gate.input_capacitance) == \
@@ -215,6 +226,35 @@ class TestConstructionTimeConstants:
                     assert gate.transition_energy(vdd, load) == (
                         gate.switching_energy(vdd, load)
                         + gate.short_circuit_energy(vdd, load))
+
+    @pytest.mark.parametrize("tech_index", range(12))
+    def test_voltages_reach_both_softplus_cutoffs(self, tech_index):
+        tech = _varied_technologies()[tech_index]
+        n_ut = tech.subthreshold_slope_factor * thermal_voltage(
+            tech.temperature_k)
+        assert (VOLTAGES[-2] - tech.vth) / n_ut > 40.0
+        assert (VOLTAGES[0] - tech.vth - DEEP_OFFSET) / n_ut < -40.0
+
+    def test_errors_are_kept(self, tech):
+        gate = GateModel(technology=tech, gate_type=GateType.TOGGLE)
+        with pytest.raises(ModelError, match="non-physical drive current"):
+            gate.delay(math.nan)
+        infinite = GateModel(technology=dataclasses.replace(
+            tech, i_on_per_um=math.inf))
+        with pytest.raises(ModelError, match="non-physical drive current"):
+            infinite.delay(0.5)
+        for call in (gate.delay, gate.transition_energy):
+            with pytest.raises(ModelError, match="external load"):
+                call(0.5, -1e-15)
+        with pytest.raises(ModelError, match="below functional minimum"):
+            gate.delay(math.nextafter(tech.vdd_min, 0.0))
+        assert gate.delay(tech.vdd_min) > 0.0
+        with pytest.raises(ModelError):
+            gate.transition_energy(-1e-3)
+        assert gate.transition_energy(0.0) == 0.0
+        with pytest.raises(ModelError, match="non-negative"):
+            gate._mosfet.on_current(-1e-3)
+        assert gate._mosfet.on_current(0.0) > 0.0
 
     def test_constants_stay_out_of_equality_and_stable_repr(self, tech):
         gate = GateModel(technology=tech, gate_type=GateType.TOGGLE,

@@ -14,7 +14,7 @@ import math
 from functools import partial
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import SimulationError, SupplyCollapseError
 from repro.models.gate import GateModel, GateType
@@ -262,9 +262,27 @@ CMOS90_CAP = {"tech": get_technology("cmos90"),
 class TestLoopMatchesEventGraph:
     @settings(max_examples=80, deadline=None)
     @given(cases())
+    # Both sides of the ring bound: with 3 ring stages and 3 transitions
+    # per toggle the toggle sets the half period and the loop skips the
+    # ring delay; with 4 and 1 the ring sets it.
+    @example(dict(CMOS90_CAP, width=16))
+    @example(dict(CMOS90_CAP, width=16, ring=4, internal=1))
     def test_drawn_cases_are_bit_identical(self, case):
         assert run_case(SelfTimedCounter, case) == run_case(EventCounter,
                                                             case)
+
+    @pytest.mark.parametrize("ring,internal,bounded", [
+        (3, 3, True), (1, 4, True), (4, 1, False), (4, 3, False)])
+    def test_ring_bound_is_taken_only_where_it_holds(self, ring, internal,
+                                                     bounded):
+        case = dict(CMOS90_CAP, ring=ring, internal=internal)
+        counter = build(SelfTimedCounter, case)[3]
+        assert counter._ring_bounded is bounded
+        for vdd in (0.15, 0.2, 0.35, 0.7, 1.0, 1.2):
+            ring_delay = ring * counter._osc_model.delay(vdd)
+            service = internal * counter._toggle_model.delay(vdd)
+            assert counter._half_period(vdd) == max(ring_delay, service)
+            assert (ring_delay <= service) or not bounded
 
     @pytest.mark.parametrize("name", TECHNOLOGIES)
     @pytest.mark.parametrize("voltage", (0.12, 0.25, 0.6, 1.0))

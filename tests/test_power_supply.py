@@ -91,3 +91,49 @@ class TestRampSupply:
     def test_falling_ramp(self):
         supply = RampSupply(v_start=1.0, v_end=0.2, duration=2.0)
         assert supply.voltage(1.0) == pytest.approx(0.6)
+
+
+# ---------------------------------------------------------------------------
+# Every supply node refuses a draw that is not a finite, non-negative number:
+# a NaN or infinite draw must raise, not silently empty the node.
+
+
+def _supply_nodes():
+    from repro.power.battery import Battery
+    from repro.power.capacitor import Capacitor, SamplingCapacitor
+    from repro.power.dcdc import DCDCConverter
+
+    return {
+        "constant": lambda: ConstantSupply(1.0),
+        "ac": lambda: ACSupply(offset=0.5, amplitude=0.1, frequency=1e6),
+        "piecewise": lambda: PiecewiseSupply([(0.0, 0.4), (1.0, 1.0)]),
+        "ramp": lambda: RampSupply(v_start=0.2, v_end=1.0, duration=1.0),
+        "battery": lambda: Battery(nominal_voltage=3.0, capacity_joules=1.0),
+        "capacitor": lambda: Capacitor(1e-12, 1.0),
+        "sampling_capacitor": lambda: SamplingCapacitor(1e-12),
+        "dcdc": lambda: DCDCConverter(
+            input_store=Capacitor(100e-6, initial_voltage=2.0),
+            target_voltage=1.0),
+    }
+
+
+def _state(node):
+    return (node.voltage(0.0).hex(), node.charge_delivered.hex(),
+            node.energy_delivered.hex())
+
+
+@pytest.mark.parametrize("kind", sorted(_supply_nodes()))
+@pytest.mark.parametrize("amount", (math.nan, math.inf, -math.inf, -1e-12))
+def test_non_finite_or_negative_draw_is_refused(kind, amount):
+    node = _supply_nodes()[kind]()
+    if kind == "sampling_capacitor":
+        node.set_voltage(1.0, 0.0)
+    before = _state(node)
+    with pytest.raises(PowerError):
+        node.draw_charge(amount, 0.0)
+    if hasattr(node, "draw_energy"):
+        with pytest.raises(PowerError):
+            node.draw_energy(amount, 0.0)
+    assert _state(node) == before
+    node.draw_charge(1e-15, 0.0)  # a finite draw still goes through
+    assert node.charge_delivered == 1e-15

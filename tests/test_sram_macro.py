@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import AddressError, ConfigurationError
+from repro.models.gate import GateModel
 from repro.power.supply import ConstantSupply, PiecewiseSupply
 from repro.selftimed.bundled import TimingViolation
 from repro.sim.simulator import Simulator
@@ -158,6 +159,37 @@ class TestBundledSRAM:
                                                calibrate_energy=False))
         bundled.poke(1, 3)
         assert bundled.peek(1) == 3
+
+
+class TestDeviceModelsBuiltOnce:
+    """The SRAMs' analytical models hold their gate models: a latency or
+    energy query evaluates them and builds none."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        counter = {"n": 0}
+        original = GateModel.__post_init__
+
+        def counting(gate):
+            counter["n"] += 1
+            original(gate)
+
+        monkeypatch.setattr(GateModel, "__post_init__", counting)
+        return counter
+
+    @pytest.mark.parametrize("cls", [SpeedIndependentSRAM, BundledSRAM])
+    def test_no_gate_model_is_built_per_query(self, tech, cls, builds):
+        sram = cls(tech, SRAMConfig(rows=8, columns=4,
+                                    calibrate_energy=False))
+        assert builds["n"] > 0  # the counter sees construction
+        queries = [sram.read_latency, sram.write_latency, sram.read_energy,
+                   sram.write_energy]
+        if cls is SpeedIndependentSRAM:
+            queries.append(sram.completion.cycle_energy)
+        for query in queries:
+            before = builds["n"]
+            assert query(0.9) > 0.0
+            assert builds["n"] == before, query.__name__
 
 
 class TestReplicaColumnBundling:
