@@ -8,12 +8,19 @@ spend their time in, so a regression can be placed:
   <repro.models.gate.GateModel.transition_energy>` call — the device-model
   calls every simulated transition makes;
 * one Fig. 11 conversion (cmos90, 30 pF, 0.3 V sampled) — the event-driven
-  charge-to-digital path that dominates the sensor workloads.
+  charge-to-digital path that dominates the sensor workloads;
+* one :func:`~repro.analysis.cache.result_key` of a smoke ``paper_space``
+  ``gate_metrics`` run with its four metric quantities — the content key
+  every persistent-cache lookup, distrib submit and campaign signature
+  computes.
 
-Each benchmark also pins its value with ``float.hex``: a speedup only
-counts when the values are unchanged.
+Each benchmark also pins its value (``float.hex`` for the models): a
+speedup only counts when the values are unchanged.
 """
 
+import re
+
+from repro.analysis.cache import result_key
 from repro.analysis.report import format_table
 from repro.models.gate import GateModel, GateType
 from repro.power.supply import ConstantSupply
@@ -53,3 +60,17 @@ def test_layer_conversion_cmos90_30pf(tech, benchmark):
     assert result.final_voltage.hex() == "0x1.1eb42d70264f7p-3"
     assert result.conversion_time.hex() == "0x1.09c6be763de84p-13"
     assert result.charge_consumed.hex() == "0x1.51c962065ee79p-38"
+
+
+def test_layer_result_key(smoke_campaign, benchmark):
+    run = next(run for run in smoke_campaign.runs
+               if smoke_campaign.spec.scenarios[run.scenario_index].point
+               == "gate_metrics")
+    assert sorted(run.quantities) == ["delay", "energy", "frequency",
+                                      "leakage"]
+    key = benchmark(result_key, run.plan, run.quantities, salt="layers")
+
+    # Code hashes differ between interpreter versions, so the key itself
+    # is not pinned; its shape and its determinism are.
+    assert re.fullmatch("[0-9a-f]{32}", key)
+    assert key == result_key(run.plan, run.quantities, salt="layers")

@@ -64,6 +64,7 @@ suite ``pytest benchmarks --runner-cache rw`` (add
 
 from __future__ import annotations
 
+import contextvars
 import dataclasses
 import enum
 import functools
@@ -110,6 +111,16 @@ CACHE_MODES = ("off", "rw", "ro")
 DEFAULT_LEASE_TTL = 30.0
 
 _RECURSION_DEPTH = 4
+#: Code objects whose hash and global-name list are remembered across calls.
+_CODE_MEMO_SIZE = 1024
+
+#: The callable-fingerprint memo of the :func:`result_key` call in progress
+#: in this thread (``None`` outside one): ``(id(fn), depth, seen ids)`` ->
+#: ``(fn, fingerprint)``.  It lives for one call only, because module
+#: globals, defaults, closure cells and registries may all change between
+#: calls; holding *fn* keeps its id from being reused during the call.
+_WALK_MEMO: contextvars.ContextVar = contextvars.ContextVar(
+    "repro_fingerprint_memo", default=None)
 
 
 def default_cache_root():
@@ -161,8 +172,10 @@ def stable_repr(value, depth: int = _RECURSION_DEPTH,
     Unlike ``repr()``, the result never embeds object addresses: scalars
     render exactly (``repr`` of a float round-trips), containers, enums and
     dataclasses recurse field by field, callables delegate to
-    :func:`callable_fingerprint`, and any other object renders as its type
-    name plus (depth permitting) its sorted ``__dict__``.  Objects that
+    :func:`callable_fingerprint`, sets, numpy values and the other value
+    types of :func:`_value_repr` render by content, and any other object
+    renders as its type name plus (depth permitting) its sorted
+    ``__dict__``.  Objects that
     define ``__cache_fingerprint__()`` render as whatever that returns —
     the opt-out used by execution machinery such as the executor itself,
     whose counters must not leak into content keys.
@@ -204,20 +217,56 @@ def stable_repr(value, depth: int = _RECURSION_DEPTH,
                 f"{name}={stable_repr(attr, depth - 1, _seen)}"
                 for name, attr in sorted(attrs.items()))
             return f"{type(value).__name__}<{inner}>"
-        return f"<{type(value).__name__}>"
+        return _value_repr(value, depth, _seen)
     finally:
         _seen.discard(marker)
 
 
-def _referenced_global_names(code) -> List[str]:
+def _value_repr(value, depth: int, _seen: set) -> str:
+    """Content renderings of value types without a ``__dict__``.
+
+    Sets render their sorted element renderings, numpy scalars their dtype
+    and value, arrays their dtype, shape and a digest of their C-order
+    bytes (``repr`` truncates), and complex numbers, ranges, decimals and
+    fractions their exact ``repr``.  Anything else renders as its bare
+    type name.
+    """
+    import decimal
+    import fractions
+
+    import numpy as np
+
+    if isinstance(value, (set, frozenset)):
+        inner = ",".join(sorted(stable_repr(v, depth, _seen) for v in value))
+        return f"{type(value).__name__}{{{inner}}}"
+    if isinstance(value, np.generic):
+        return f"{value.dtype}({value.item()!r})"
+    if isinstance(value, np.ndarray):
+        if value.dtype.hasobject:  # the bytes would be object addresses
+            body = stable_repr(value.tolist(), depth, _seen)
+        else:
+            body = hashlib.sha256(value.tobytes(order="C")).hexdigest()[:16]
+        return f"ndarray({value.dtype},{value.shape},{body})"
+    if isinstance(value, (complex, range, decimal.Decimal,
+                          fractions.Fraction)):
+        return repr(value)
+    return f"<{type(value).__name__}>"
+
+
+# Code objects are immutable and equal ones hash equal, so these two may
+# remember their answers across calls; nothing a code object refers to
+# at run time (globals, defaults, cells) is remembered.
+@functools.lru_cache(maxsize=_CODE_MEMO_SIZE)
+def _referenced_global_names(code) -> Tuple[str, ...]:
     """All global names a code object (or its nested lambdas) may read."""
     names = set(code.co_names)
     for const in code.co_consts:
         if hasattr(const, "co_code"):
             names.update(_referenced_global_names(const))
-    return sorted(names)
+    return tuple(sorted(names))
 
 
+@functools.lru_cache(maxsize=_CODE_MEMO_SIZE)
 def _code_hash(code) -> str:
     digest = hashlib.sha256(code.co_code)
     for const in code.co_consts:
@@ -243,9 +292,25 @@ def callable_fingerprint(fn: Callable, depth: int = _RECURSION_DEPTH,
     name but different bodies, defaults (the ``lambda x, metric=metric:``
     binding idiom), closures, referenced constants or instance parameters
     therefore key different cache entries.
+
+    Within one :func:`result_key` call, a callable already walked at the
+    same *depth* and with the same objects in progress returns its earlier
+    fingerprint, so the quantities of one plan that share a function (the
+    campaign registry's partials) walk its code graph once.
     """
     if _seen is None:
         _seen = set()
+    memo = _WALK_MEMO.get()
+    if memo is None:
+        return _walk_callable(fn, depth, _seen)
+    key = (id(fn), depth, frozenset(_seen))
+    entry = memo.get(key)
+    if entry is None:
+        entry = memo[key] = (fn, _walk_callable(fn, depth, _seen))
+    return entry[1]
+
+
+def _walk_callable(fn: Callable, depth: int, _seen: set) -> str:
     custom = getattr(fn, "__cache_fingerprint__", None)
     if custom is not None:
         # Wrapper types (e.g. the runner's BatchedQuantity) define their
@@ -307,12 +372,16 @@ def result_key(plan, quantities: Mapping[str, Callable],
     """
     digest = hashlib.sha256()
     digest.update((salt or code_version_salt()).encode())
-    digest.update(stable_repr(plan).encode())
-    for name, fn in quantities.items():
-        digest.update(name.encode())
-        digest.update(b"\0")
-        digest.update(callable_fingerprint(fn).encode())
-        digest.update(b"\0")
+    token = _WALK_MEMO.set({})
+    try:
+        digest.update(stable_repr(plan).encode())
+        for name, fn in quantities.items():
+            digest.update(name.encode())
+            digest.update(b"\0")
+            digest.update(callable_fingerprint(fn).encode())
+            digest.update(b"\0")
+    finally:
+        _WALK_MEMO.reset(token)
     return digest.hexdigest()[:32]
 
 

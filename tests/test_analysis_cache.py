@@ -8,9 +8,14 @@ version salt (i.e. to any library source file) invalidates everything.
 
 import json
 import threading
+from decimal import Decimal
+from fractions import Fraction
+from functools import partial
 
+import numpy as np
 import pytest
 
+from repro.analysis import cache
 from repro.analysis.cache import (
     CACHE_MODES,
     LocalFSStore,
@@ -45,6 +50,57 @@ def _energy(vdd):
 
 def _mc_delay(perturbed):
     return GateModel(technology=perturbed).delay(0.4)
+
+
+def _seeded(vdd, seed=0):
+    return vdd * seed
+
+
+_BIG = np.arange(5000, dtype=np.float64)
+_BIG_EDITED = _BIG.copy()
+_BIG_EDITED[2500] = -1.0  # repr would elide the middle of the array
+
+# Value pairs that the key once rendered as a bare type name, so the two
+# quantities of each pair shared one key.
+OPAQUE_PAIRS = {
+    "set": ({1}, {2}),
+    "frozenset": (frozenset({1}), frozenset({2})),
+    "np-int64": (np.int64(3), np.int64(4)),
+    "np-dtype": (np.int64(3), np.int32(3)),
+    "ndarray-values": (np.array([1.0, 2.0]), np.array([1.0, 3.0])),
+    "ndarray-shape": (np.zeros(4), np.zeros((2, 2))),
+    "ndarray-elided": (_BIG, _BIG_EDITED),
+    "ndarray-object": (np.array(["a", 1], dtype=object),
+                       np.array(["a", 2], dtype=object)),
+    "complex": (1 + 2j, 1 + 3j),
+    "range": (range(3), range(4)),
+    "decimal": (Decimal("1.1"), Decimal("1.2")),
+    "fraction": (Fraction(1, 3), Fraction(1, 4)),
+}
+
+
+def _mutable_quantity(kind):
+    """A quantity plus a mutation of state its key must reflect."""
+    if kind == "global":
+        namespace = {"SCALE": 2.0}
+        fn = eval("lambda v: SCALE * v", namespace)
+        return fn, lambda: namespace.update(SCALE=3.0)
+    if kind == "dict":
+        table = {"scale": 2.0}
+        fn = eval("lambda v: TABLE['scale'] * v", {"TABLE": table})
+        return fn, lambda: table.update(scale=3.0)
+    if kind == "defaults":
+        fn = eval("lambda v, scale=2.0: scale * v")
+        return fn, lambda: setattr(fn, "__defaults__", (3.0,))
+    scale = 2.0
+
+    def fn(v):
+        return scale * v
+
+    def mutate():
+        fn.__closure__[0].cell_contents = 3.0
+
+    return fn, mutate
 
 
 @pytest.fixture()
@@ -239,6 +295,66 @@ class TestContentKeys:
     def test_code_version_salt_is_stable_within_a_session(self):
         assert code_version_salt() == code_version_salt()
         assert len(code_version_salt()) == 16
+
+    @pytest.mark.parametrize("pair", sorted(OPAQUE_PAIRS))
+    def test_key_depends_on_value_contents(self, plan, pair):
+        a, b = OPAQUE_PAIRS[pair]
+        assert result_key(plan, {"q": partial(_seeded, seed=a)}, salt="s") \
+            != result_key(plan, {"q": partial(_seeded, seed=b)}, salt="s")
+        assert stable_repr(a) == stable_repr(a)
+        assert "0x" not in stable_repr(a)
+
+    def test_set_rendering_is_order_free(self):
+        words = ["gamma", "alpha", "beta"]
+        assert stable_repr(frozenset(words)) == \
+            "frozenset{'alpha','beta','gamma'}"
+        assert stable_repr(set(reversed(words))) == \
+            "set{'alpha','beta','gamma'}"
+
+    # The fingerprint memo lives for one result_key call only: state a
+    # function reads may change between calls on the same function object.
+    @pytest.mark.parametrize("kind", ["global", "dict", "defaults", "cell"])
+    def test_key_follows_state_mutated_between_calls(self, plan, kind):
+        fn, mutate = _mutable_quantity(kind)
+        quantities = {"q": fn, "r": partial(fn)}
+        before = result_key(plan, quantities, salt="s")
+        assert result_key(plan, quantities, salt="s") == before
+        mutate()
+        assert result_key(plan, quantities, salt="s") != before
+
+    def test_shared_function_is_walked_once_per_key(self, monkeypatch,
+                                                    plan):
+        # k partials of one registry function cost one walk of its code
+        # graph plus k renderings of the partials' own arguments.
+        from repro.analysis.campaign.registry import (get_point_function,
+                                                      quantities_for)
+
+        calls = []
+        original = cache.stable_repr
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        def count(thunk):
+            calls.clear()
+            thunk()
+            return len(calls)
+
+        def arguments(fn):
+            return count(lambda: (cache.stable_repr(fn.args),
+                                  cache.stable_repr(fn.keywords)))
+
+        monkeypatch.setattr(cache, "stable_repr", counted)
+        entry = get_point_function("gate_metrics")
+        one = quantities_for(entry, "cmos90", {}, ("delay",))
+        four = quantities_for(entry, "cmos90", {})
+        assert len(four) == 4
+        walk_one = count(lambda: result_key(plan, one, salt="s"))
+        walk_four = count(lambda: result_key(plan, four, salt="s"))
+        assert walk_four - walk_one == \
+            sum(map(arguments, four.values())) - arguments(one["delay"])
+        assert walk_one > 10 * arguments(one["delay"])
 
 
 class TestResultCacheStore:
