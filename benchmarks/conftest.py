@@ -47,7 +47,17 @@ keeps ``.repro_cache/`` on the local filesystem,
 (``python -m repro serve objstore`` runs the credential-free fake
 server) so
 shared-nothing fleet machines replay one another's results.
+
+**Rounds.**  A benchmark that only pins values runs for a single round
+unless ``--benchmark-json`` is given: a plain ``pytest`` run checks
+every value and ``float.hex`` pin without the calibrated rounds nobody
+reads.  A benchmark whose assertions read its own timings (a speedup
+floor, an overhead ceiling) is marked ``timed`` and keeps its rounds
+everywhere.  Runs that write ``--benchmark-json`` (CI's benchmarks job,
+perf-trajectory snapshots) keep the rounds of every benchmark.
 """
+
+from pathlib import Path
 
 import pytest
 
@@ -103,6 +113,25 @@ def pytest_addoption(parser):
         help="shared root for sharded multi-machine execution — a "
              "directory or an object-store bucket URL (default: resolved "
              "from REPRO_DISTRIB_ROOT / repro.toml; none = local)")
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "timed: the benchmark asserts on its own timings, so it "
+                   "keeps its calibrated rounds on every run")
+
+
+def pytest_collection_modifyitems(config, items):
+    if config.getoption("benchmark_json", None):
+        return
+    here = Path(__file__).parent
+    single_round = pytest.mark.benchmark(min_rounds=1, max_time=0,
+                                         warmup=False)
+    for item in items:
+        if (here in item.path.parents
+                and "benchmark" in getattr(item, "fixturenames", ())
+                and item.get_closest_marker("timed") is None):
+            item.add_marker(single_round)
 
 
 def _option(request, name, default):

@@ -31,6 +31,9 @@ from repro.sram.sram import SRAMConfig, SpeedIndependentSRAM
 
 from conftest import emit
 
+# The speedup floor reads the benchmark's own timings.
+pytestmark = pytest.mark.timed
+
 #: Fig. 7 array at the depleted-rail operating point.
 SRAM_CONFIG = SRAMConfig(rows=16, columns=8, calibrate_energy=False)
 LOW_VDD = 0.25

@@ -12,16 +12,25 @@ spend their time in, so a regression can be placed:
 * one :func:`~repro.analysis.cache.result_key` of a smoke ``paper_space``
   ``gate_metrics`` run with its four metric quantities — the content key
   every persistent-cache lookup, distrib submit and campaign signature
-  computes.
+  computes;
+* one cold 64-sample Monte-Carlo plan through an executor with a
+  filesystem :class:`~repro.analysis.cache.ResultCache` whose root
+  already holds 8 earlier Monte-Carlo plans — what a variation study
+  pays per plan beyond its model calls (lookup miss, technology
+  rebuilds, result write), which must not grow with the root.
 
 Each benchmark also pins its value (``float.hex`` for the models): a
 speedup only counts when the values are unchanged.
 """
 
+import hashlib
+import itertools
 import re
+import shutil
 
-from repro.analysis.cache import result_key
+from repro.analysis.cache import ResultCache, result_key
 from repro.analysis.report import format_table
+from repro.analysis.runner import Executor, ExperimentPlan
 from repro.models.gate import GateModel, GateType
 from repro.power.supply import ConstantSupply
 from repro.sensors.charge_to_digital import ChargeToDigitalConverter
@@ -29,6 +38,17 @@ from repro.sensors.charge_to_digital import ChargeToDigitalConverter
 from conftest import emit
 
 VDD = 0.3
+
+#: The cold plan's samples and the earlier plans already in its root.
+MC_SAMPLES = 64
+EARLIER_MC_PLANS = 8
+#: Fixed rounds: each one copies a fresh root outside the timing.
+COLD_PLAN_ROUNDS = 10
+
+
+def _mc_toggle_delay(perturbed):
+    return GateModel(technology=perturbed,
+                     gate_type=GateType.TOGGLE).delay(VDD)
 
 
 def test_layer_gate_delay(tech, benchmark):
@@ -74,3 +94,31 @@ def test_layer_result_key(smoke_campaign, benchmark):
     # is not pinned; its shape and its determinism are.
     assert re.fullmatch("[0-9a-f]{32}", key)
     assert key == result_key(run.plan, run.quantities, salt="layers")
+
+
+def test_layer_cold_mc_plan(tech, tmp_path, benchmark):
+    quantities = {"delay": _mc_toggle_delay}
+    template = tmp_path / "template"
+    for seed in range(EARLIER_MC_PLANS):
+        Executor(persistent=ResultCache(root=template, salt="layers")).run(
+            ExperimentPlan.monte_carlo(MC_SAMPLES, technology=tech,
+                                       seed=seed), quantities)
+    plan = ExperimentPlan.monte_carlo(MC_SAMPLES, technology=tech,
+                                      seed=EARLIER_MC_PLANS)
+    rounds = itertools.count()
+
+    def fresh_root():
+        root = tmp_path / f"round{next(rounds)}"
+        shutil.copytree(template, root)
+        return (ResultCache(root=root, salt="layers"),), {}
+
+    result = benchmark.pedantic(
+        lambda cache: Executor(persistent=cache).run(plan, quantities),
+        setup=fresh_root, rounds=COLD_PLAN_ROUNDS)
+
+    assert result.provenance.persistent_misses == MC_SAMPLES
+    delays = result.values["delay"]
+    assert min(delays).hex() == "0x1.1ed18ad5424fbp-35"
+    assert max(delays).hex() == "0x1.ce4a796f33745p-30"
+    assert hashlib.sha256(" ".join(v.hex() for v in delays).encode()
+                          ).hexdigest()[:16] == "e2890be6d823827c"

@@ -1,19 +1,15 @@
 """Persistent, content-keyed experiment cache (``.repro_cache/``).
 
 The in-memory :class:`~repro.analysis.runner.TechnologyCache` deduplicates
-work *within* one process; this module persists finished work *between*
-processes and runs.  Two stores live under one cache root (by default
-``.repro_cache/`` in the working directory, overridable through the
-``REPRO_CACHE_DIR`` environment variable):
-
-* **results** — the complete per-point value lists of an executed
-  :class:`~repro.analysis.runner.ExperimentPlan`, keyed by a content hash
-  of the plan (kind, axes, seed, variation, technology), the quantity
-  names and a best-effort fingerprint of each quantity callable;
-* **technologies** — the entries of the executor's keyed
-  :class:`~repro.analysis.runner.TechnologyCache`, so corner shifts,
-  temperature overrides and Monte-Carlo perturbations built in a previous
-  run are not rebuilt in the next one.
+Technology rebuilds *within* one process (they are pure and cheap, so
+they are never persisted); this module persists finished work *between*
+processes and runs.  The cache root (by default ``.repro_cache/`` in the
+working directory, overridable through the ``REPRO_CACHE_DIR``
+environment variable) holds **results**: the complete per-point value
+lists of an executed :class:`~repro.analysis.runner.ExperimentPlan`,
+keyed by a content hash of the plan (kind, axes, seed, variation,
+technology), the quantity names and a best-effort fingerprint of each
+quantity callable.
 
 Every key is namespaced by a **code-version salt**: a hash over the source
 of the whole ``repro`` package.  Any edit to any module under ``repro``
@@ -71,7 +67,6 @@ import functools
 import hashlib
 import json
 import os
-import pickle
 import re
 import time
 import types
@@ -388,13 +383,12 @@ def result_key(plan, quantities: Mapping[str, Callable],
 # ---------------------------------------------------------------------------
 # Storage backends
 #
-# Every persisted entry — results, leases, technology pickles, distrib job
-# manifests/payloads, worker presence — is one *object* under a
-# slash-separated string key ("results/<salt>/<key>.json").  The
-# :class:`CacheStore` interface is the complete I/O surface of the cache
-# and of the distributed runner built on it; anything satisfying it (a
-# local directory, an S3-style bucket, a fault-injecting test wrapper)
-# can back a :class:`ResultCache`.
+# Every persisted entry — results, leases, distrib job manifests/payloads,
+# worker presence — is one *object* under a slash-separated string key
+# ("results/<salt>/<key>.json").  The :class:`CacheStore` interface is the
+# complete I/O surface of the cache and of the distributed runner built on
+# it; anything satisfying it (a local directory, an S3-style bucket, a
+# fault-injecting test wrapper) can back a :class:`ResultCache`.
 
 
 def object_etag(data: bytes) -> str:
@@ -691,7 +685,6 @@ class ResultCache:
     filesystem store the key is literally the path under *root*)::
 
         results/<salt>/<key>.json   one executed plan (or shard) each
-        technology/<salt>.pkl       pickled TechnologyCache entries
         leases/<salt>/<key>.json    one live shard claim each
 
     Result payloads are JSON with floats serialised via ``repr`` round-trip,
@@ -757,9 +750,6 @@ class ResultCache:
 
     def _result_obj(self, key: str) -> str:
         return f"results/{self.salt}/{key}.json"
-
-    def _technology_obj(self, salt: Optional[str] = None) -> str:
-        return f"technology/{salt or self.salt}.pkl"
 
     def _lease_obj(self, key: str) -> str:
         return f"leases/{self.salt}/{key}.json"
@@ -866,42 +856,6 @@ class ResultCache:
             self.store.put_atomic(target, payload)
         self.writes += 1
         return True
-
-    # -- technology entries ------------------------------------------------
-
-    def load_technologies(self) -> Dict[Tuple, object]:
-        """All persisted Technology rebuilds of this code version."""
-        if not self.enabled:
-            return {}
-        obj = self._get(self._technology_obj())
-        if obj is None:
-            return {}
-        try:
-            entries = pickle.loads(obj.data)
-        except (pickle.UnpicklingError, EOFError, AttributeError,
-                ValueError, TypeError):
-            return {}
-        return entries if isinstance(entries, dict) else {}
-
-    def merge_technologies(self, entries: Mapping[Tuple, object]) -> int:
-        """Union *entries* into the persisted set; returns entries added.
-
-        No-op unless ``rw``.  Read-modify-write, so concurrent runs lose at
-        worst each other's newest entries, never corrupt the object.
-        """
-        if not self.writable or not entries:
-            return 0
-        stored = self.load_technologies()
-        added = 0
-        for key, value in entries.items():
-            if key not in stored:
-                stored[key] = value
-                added += 1
-        if added:
-            self.store.put_atomic(self._technology_obj(),
-                                  pickle.dumps(stored))
-            self.writes += 1
-        return added
 
     # -- shard leases ------------------------------------------------------
     #
@@ -1069,19 +1023,6 @@ class ResultCache:
                 continue
             entry = salts.setdefault(parts[1], {})
             entry["leases"] = entry.get("leases", 0) + 1
-        for info in self.store.list("technology/"):
-            parts = info.key.split("/")
-            if len(parts) != 2 or not parts[1].endswith(".pkl"):
-                continue
-            entry = salts.setdefault(parts[1][:-len(".pkl")], {})
-            obj = self._get(info.key)
-            try:
-                entry["technologies"] = (0 if obj is None
-                                         else len(pickle.loads(obj.data)))
-            except (pickle.UnpicklingError, EOFError, AttributeError,
-                    ValueError, TypeError):
-                entry["technologies"] = 0
-            entry["technology_bytes"] = info.size
         return {
             "root": str(self.root),
             "mode": self.mode,
@@ -1103,7 +1044,9 @@ class ResultCache:
         writes ``ro`` forbids.
         """
         removed = 0
-        # (prefix, index of the salt segment in the key's path parts)
+        # (prefix, index of the salt segment in the key's path parts).
+        # technology/<salt>.pkl is written by older versions only; a clear
+        # must still empty the roots they wrote.
         specs = (("results/", 1), ("leases/", 1), ("jobs/", 1),
                  ("technology/", None))
         for prefix, salt_part in specs:
@@ -1176,7 +1119,5 @@ def _cli(args) -> int:
             tag = "  <- current" if salt == stats["current_salt"] else ""
             print(f"  {salt}: {entry.get('results', 0)} result(s), "
                   f"{entry.get('result_bytes', 0)} B, "
-                  f"{entry.get('technologies', 0)} technolog(ies), "
-                  f"{entry.get('technology_bytes', 0)} B, "
                   f"{entry.get('leases', 0)} lease(s){tag}")
     return 0

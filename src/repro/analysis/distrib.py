@@ -643,8 +643,6 @@ class Worker:
                     cache.release_lease(shard.key, self.id)
                 except OSError:
                     pass  # unreleased leases expire on their own TTL
-        if executed:
-            cache.merge_technologies(executor.cache.snapshot())
         return executed
 
     def _payload_for(self, job: DistribJob):
@@ -654,15 +652,13 @@ class Worker:
 
     def _resources_for(self, job: DistribJob):
         # One cache handle and one executor per salt, memoised: polling
-        # loops call process_job several times a second, and rebuilding
-        # them would re-read the pickled technology store on every poll
-        # (over NFS or HTTP, for a real fleet).  The shared executor also
-        # lets a long-lived worker reuse Technology rebuilds across jobs.
+        # loops call process_job several times a second, and the shared
+        # executor lets a long-lived worker reuse Technology rebuilds
+        # across jobs.
         if job.salt not in self._resources:
             cache = ResultCache(root=self.root, mode="rw", salt=job.salt,
                                 store=self.store)
             executor = Executor(workers=self.executor_workers)
-            executor.cache.preload(cache.load_technologies())
             self._resources[job.salt] = (cache, executor)
         return self._resources[job.salt]
 

@@ -256,12 +256,11 @@ def _cache_section(cache: Optional[Dict[str, object]],
                 label,
                 _fmt(entry.get("results", 0)),
                 _fmt(entry.get("result_bytes", 0)),
-                _fmt(entry.get("technologies", 0)),
                 _fmt(entry.get("leases", 0)),
             ])
         if salt_rows:
             body += _table(salt_rows, ["code salt", "results", "bytes",
-                                       "technologies", "leases"])
+                                       "leases"])
     if isinstance(technology, dict):
         body += (f"<p>in-process technology cache: "
                  f"{_fmt(technology.get('entries', 0))} entr(ies), "

@@ -332,20 +332,6 @@ class TechnologyCache:
         # the hit/miss counters and entry set vary run to run.
         return type(self).__name__
 
-    def snapshot(self) -> Dict[Tuple, Technology]:
-        """A copy of the current entries (for persistence between runs)."""
-        with self._lock:
-            return dict(self._entries)
-
-    def preload(self, entries: Mapping[Tuple, Technology]) -> None:
-        """Adopt previously persisted *entries* without touching counters."""
-        with self._lock:
-            for key, value in entries.items():
-                if key not in self._entries:
-                    self._entries[key] = value
-                    if len(self._entries) > self.max_entries:
-                        self._entries.popitem(last=False)
-
     def _get_or_build(self, key: Tuple,
                       build: Callable[[], Technology]) -> Technology:
         with self._lock:
@@ -778,11 +764,9 @@ class Executor:
         (and not in ``"off"`` mode), :meth:`run` first looks the plan up in
         the on-disk store and, on a hit, returns the persisted per-point
         values without evaluating anything; in ``"rw"`` mode computed runs
-        are stored afterwards.  The technology cache's entries are
-        persisted alongside so later processes skip the rebuilds too —
-        like the cache's hit counters, this covers the coordinating
-        process only: rebuilds that happened inside pool workers stay in
-        the workers' copies and are not captured.
+        are stored afterwards.  Technology rebuilds are not persisted:
+        they are pure and cheap, so each process rebuilds into its own
+        :class:`TechnologyCache`.
     distrib:
         Optional :class:`repro.analysis.distrib.DistribBackend`.  When
         attached, a plan whose payload can cross a pickle boundary is
@@ -821,8 +805,6 @@ class Executor:
         self.persistent = persistent
         self.distrib = distrib
         self.batch = batch
-        if self.persistent is not None:
-            self.cache.preload(self.persistent.load_technologies())
 
     def __cache_fingerprint__(self) -> str:
         # An executor captured in a quantity closure must not leak its
@@ -896,7 +878,6 @@ class Executor:
                     "seed": plan.seed,
                     "quantities": list(names),
                 })
-                self.persistent.merge_technologies(self.cache.snapshot())
         provenance = RunRecord(
             kind=plan.kind,
             axes=plan.describe_axes(),

@@ -443,8 +443,7 @@ class Session:
     :class:`~repro.analysis.distrib.DistribBackend` are built on first
     use, from the session's :class:`RunConfig`; one
     :class:`~repro.analysis.runner.TechnologyCache` is shared by every
-    run the session executes (and preloaded from the persistent store
-    when one is attached).
+    run the session executes.
 
     Either pass a ready :class:`RunConfig` or field overrides that feed
     :meth:`RunConfig.resolve`::

@@ -7,6 +7,7 @@ version salt (i.e. to any library source file) invalidates everything.
 """
 
 import json
+import pickle
 import threading
 from decimal import Decimal
 from fractions import Fraction
@@ -18,6 +19,7 @@ import pytest
 from repro.analysis import cache
 from repro.analysis.cache import (
     CACHE_MODES,
+    CacheStore,
     LocalFSStore,
     ResultCache,
     StoredObject,
@@ -50,6 +52,10 @@ def _energy(vdd):
 
 def _mc_delay(perturbed):
     return GateModel(technology=perturbed).delay(0.4)
+
+
+def _mc_energy(perturbed):
+    return GateModel(technology=perturbed).transition_energy(0.4)
 
 
 def _seeded(vdd, seed=0):
@@ -111,6 +117,33 @@ def plan():
 @pytest.fixture()
 def quantities():
     return {"delay": _delay, "energy": _energy}
+
+
+class CountingStore(CacheStore):
+    """Forwards to *inner*, recording every call as ``(operation, key)``."""
+
+    def __init__(self, inner: CacheStore) -> None:
+        self.inner = inner
+        self.calls = []
+
+    def _forward(operation):
+        def call(self, key="", *args):
+            self.calls.append((operation, key))
+            return getattr(self.inner, operation)(key, *args)
+
+        return call
+
+    get = _forward("get")
+    put_atomic = _forward("put_atomic")
+    put_if_absent = _forward("put_if_absent")
+    put_if_match = _forward("put_if_match")
+    list = _forward("list")
+    delete = _forward("delete")
+    stat = _forward("stat")
+    del _forward
+
+    def describe(self):
+        return self.inner.describe()
 
 
 def cache_main(argv):
@@ -485,16 +518,85 @@ class TestExecutorIntegration:
         assert second.values == first.values
         assert second.summary("d").mean == first.summary("d").mean
 
-    def test_technology_entries_persist_between_executors(self, tmp_path,
-                                                          tech):
+    def test_new_quantity_in_fresh_executor_is_bit_identical(self, tmp_path,
+                                                             tech):
+        # A later process evaluating a new quantity over the same samples
+        # rebuilds every perturbed technology; the values must equal a
+        # serial run that never saw a cache.
         plan = ExperimentPlan.monte_carlo(6, technology=tech, seed=3)
-        store = ResultCache(root=tmp_path, mode="rw")
-        Executor(persistent=store).run(plan, {"d": _mc_delay})
-        assert store.load_technologies()  # the perturbed samples were saved
-        fresh_cache = TechnologyCache()
-        Executor(cache=fresh_cache,
-                 persistent=ResultCache(root=tmp_path, mode="rw"))
-        assert len(fresh_cache) == 6  # preloaded at construction
+        Executor(persistent=ResultCache(root=tmp_path, mode="rw")).run(
+            plan, {"d": _mc_delay})
+        fresh = Executor(cache=TechnologyCache(),
+                         persistent=ResultCache(root=tmp_path, mode="rw"))
+        later = fresh.run(plan, {"e": _mc_energy})
+        reference = Executor().run(plan, {"e": _mc_energy})
+        assert later.provenance.persistent_misses == 6
+        assert [v.hex() for v in later.values["e"]] == \
+            [v.hex() for v in reference.values["e"]]
+
+
+class TestStoreTraffic:
+    """Which store operations a run and an executor cost."""
+
+    def test_cold_plan_is_one_lookup_and_one_write(self, tmp_path, tech):
+        store = CountingStore(LocalFSStore(tmp_path))
+        persistent = ResultCache(mode="rw", salt="s", store=store)
+        plan = ExperimentPlan.monte_carlo(16, technology=tech, seed=5)
+        key = persistent.result_key(plan, {"d": _mc_delay})
+        Executor(persistent=persistent).run(plan, {"d": _mc_delay})
+        target = f"results/s/{key}.json"
+        assert store.calls == [("get", target), ("put_atomic", target)]
+
+    def test_executor_on_a_warm_root_touches_no_store(self, tmp_path, tech):
+        plan = ExperimentPlan.monte_carlo(16, technology=tech, seed=5)
+        Executor(persistent=ResultCache(root=tmp_path, mode="rw",
+                                        salt="s")).run(plan, {"d": _mc_delay})
+        store = CountingStore(LocalFSStore(tmp_path))
+        Executor(persistent=ResultCache(mode="rw", salt="s", store=store))
+        assert store.calls == []
+
+
+class TestLegacyTechnologyPickle:
+    """Roots written by older versions hold ``technology/<salt>.pkl``."""
+
+    @pytest.fixture()
+    def legacy_root(self, tmp_path, plan, quantities):
+        Executor(persistent=ResultCache(root=tmp_path, mode="rw",
+                                        salt="s")).run(plan, quantities)
+        from repro.models.technology import get_technology
+
+        legacy = pickle.dumps({("cmos90",): get_technology("cmos90")})
+        fs = LocalFSStore(tmp_path)
+        fs.put_atomic("technology/s.pkl", legacy)
+        fs.put_atomic("technology/old.pkl", legacy)
+        return tmp_path
+
+    def test_results_are_still_served(self, legacy_root, plan, quantities):
+        replay = Executor(persistent=ResultCache(
+            root=legacy_root, mode="rw", salt="s")).run(plan, quantities)
+        assert replay.provenance.executor == "persistent-cache"
+        assert replay.values == Executor().run(plan, quantities).values
+
+    def test_stats_neither_lists_nor_reads_the_pickle(self, legacy_root):
+        store = CountingStore(LocalFSStore(legacy_root))
+        stats = ResultCache(mode="ro", salt="s", store=store).stats()
+        assert not [call for call in store.calls
+                    if call[1].startswith("technology/")]
+        assert list(stats["salts"]) == ["s"]
+        assert set(stats["salts"]["s"]) == {"results", "result_bytes"}
+
+    def test_clear_deletes_the_pickle(self, legacy_root):
+        cache = ResultCache(root=legacy_root, mode="rw", salt="s")
+        assert cache.clear(stale_only=True) == 1
+        assert not (legacy_root / "technology" / "old.pkl").exists()
+        assert (legacy_root / "technology" / "s.pkl").exists()
+        assert cache.clear() == 2  # the result and the current pickle
+        assert not any(path.is_file() for path in legacy_root.rglob("*"))
+
+    def test_cli_clear_empties_the_root(self, legacy_root, capsys):
+        assert cache_main(["--root", str(legacy_root), "--clear"]) == 0
+        assert "cleared 3 cached file(s)" in capsys.readouterr().out
+        assert not any(path.is_file() for path in legacy_root.rglob("*"))
 
 
 class TestShardPrimitives:
